@@ -55,7 +55,7 @@ def main(argv: list[str]) -> int:
     if sep != "--":
         raise SystemExit("usage: child.py RESULT.json TRACE -- ARGS...")
     sys.path.insert(0, str(SRC))
-    from longctx import cli
+    from longctx import cli, longcap
     from spans import Tracer
 
     tracer = Tracer()
@@ -87,9 +87,8 @@ def main(argv: list[str]) -> int:
                   "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
         if "backend" in held:
             result["augment_captions"] = [
-                p.split("CAPTION:\n", 1)[1].split("\n\nINLINE MENTIONS:", 1)[0]
+                longcap._section(p, "CAPTION")
                 for p in held["backend"].requests if p.startswith("TASK: augment")]
-            result["backend_requests"] = len(held["backend"].requests)
         if "recall" in held:
             z_img, z_txt, r_t2i, r_i2t = held["recall"]
             np.savez(result_path.with_suffix(".npz"), z_img=z_img, z_txt=z_txt,

@@ -1,17 +1,18 @@
 """The longctx benchmark: three seeded workloads run through longctx's own
 commands, with every output checked, timed end to end and per module.
 
-    python3 perfbench/run.py --workload ablate --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload ablate --seed 1 --trace 0
     python3 perfbench/run.py --seed 1        # every workload, untraced and traced
 
 A run sets up its inputs several times from the seed (``setup_s`` is the
 median), then repeats whole rounds of the workload's commands until
-``--seconds`` have passed, and reports the median over rounds.  With
-``--trace 0`` the last line of standard output is a JSON object holding the
-end-to-end metrics; with ``--trace 1`` it holds the per-module metrics.
-Without ``--workload`` every workload runs untraced and then traced, and
-the difference is reported as the tracing overhead.  Inputs and outputs go
-to ``.perfbench_out/`` in the checkout.
+``--seconds`` (by default ``run_seconds`` of BENCHMARK.json) have passed,
+and reports the median over rounds.  With ``--trace 0`` the last line of
+standard output is a JSON object holding the end-to-end metrics; with
+``--trace 1`` it holds the per-module metrics.  Without ``--workload`` every
+workload runs untraced and then traced; the difference is printed as the
+tracing overhead, and the run ends with the total of operations attempted
+and failed.  Inputs and outputs go to ``.perfbench_out/`` in the checkout.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-SETUPS = 3
+# set-up repeats at least SETUPS times and until SETUP_SECONDS have passed,
+# so a quick set-up is timed often enough for its median to hold steady
+SETUPS, SETUP_SECONDS, MAX_SETUPS = 3, 4.0, 15
+# a run must end within 180 s: a command still running this long after the
+# run began is killed and counted as failed
+DEADLINE_S = 165
 
 # this process sets up inputs and runs the checks; BLAS must see the thread
 # cap before numpy loads
@@ -40,15 +46,17 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     from inputs import MAKERS, fresh_dir
     from workloads import E2E, PER_LAYER, ROUNDS, Commands
 
+    deadline = time.perf_counter() + DEADLINE_S
     base = fresh_dir(OUT / f"{name}-seed{seed}-trace{int(trace)}")
     setup_s = []
-    for k in range(SETUPS):
+    while len(setup_s) < SETUPS or (sum(setup_s) < SETUP_SECONDS and len(setup_s) < MAX_SETUPS):
+        k = len(setup_s)
         start = time.perf_counter()
         setup = MAKERS[name](fresh_dir(base / f"setup{k}"), seed)
         setup_s.append(time.perf_counter() - start)
         if k:
             shutil.rmtree(base / f"setup{k - 1}")
-    cmd = Commands(trace)
+    cmd = Commands(trace, deadline)
     rounds = []
     start = time.perf_counter()
     while not rounds or time.perf_counter() - start < seconds:
@@ -102,7 +110,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=("ablate", "longcap-waste", "retrieval-eval"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float,
+                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if not (SRC / "longctx" / "cli.py").is_file():
@@ -116,7 +125,7 @@ def main() -> int:
         print(as_json(result, result["layers"] if args.trace else result["e2e"]))
         return 0
 
-    summary = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}, "units": {}}
+    totals = {"attempted": 0, "failed": 0, "correct": True}
     for name in ("ablate", "longcap-waste", "retrieval-eval"):
         plain = run_workload(name, args.seed, args.seconds, False)
         traced = run_workload(name, args.seed, args.seconds, True)
@@ -126,13 +135,11 @@ def main() -> int:
             change = traced["e2e"][metric] / plain["e2e"][metric] - 1.0
             print(f"  tracing overhead on {metric}: {100 * change:+.1f}%")
         for res in (plain, traced):
-            summary["correct"] &= res["correct"]
-            summary["attempted"] += res["attempted"]
-            summary["failed"] += res["failed"]
-        for metric, value in {**plain["e2e"], **traced["layers"]}.items():
-            summary["metrics"][f"{name}.{metric}"] = value
-            summary["units"][f"{name}.{metric}"] = plain["units"][metric]
-    print(as_json(summary, summary["metrics"]))
+            totals = {"attempted": totals["attempted"] + res["attempted"],
+                      "failed": totals["failed"] + res["failed"],
+                      "correct": totals["correct"] and res["correct"]}
+    print("all workloads: attempted {attempted}  failed {failed}  correct {correct}".format(
+        **totals))
     return 0
 
 

@@ -35,8 +35,10 @@ EPOCHS = 6
 BATCH = 32
 TARGET_LOSS = math.log(BATCH) / 2
 
-# longcap-waste
+# longcap-waste.  One in-flight record: more workers slow the in-process
+# mock backend down and make its rate follow the host's load.
 WASTE_VOCAB = 1024
+LONGCAP_WORKERS = 1
 CUTOFFS = (77, 512)
 BPE_CHECK_CAPTIONS = 30
 BPE_CHECK_VOCAB = 259 + 150
@@ -74,8 +76,9 @@ PER_LAYER = [
 class Commands:
     """Starts ``child.py`` for one longctx command and times it."""
 
-    def __init__(self, trace: bool):
+    def __init__(self, trace: bool, deadline: float):
         self.trace = trace
+        self.deadline = deadline  # perf_counter time by which every command is killed
         self.env = {k: v for k, v in os.environ.items() if not k.startswith("LONGCTX_")}
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             self.env[var] = str(THREADS)
@@ -87,13 +90,22 @@ class Commands:
                 "1" if self.trace else "0", "--", *args]
         with open(out / f"{tag}.log", "w") as log:
             start = time.perf_counter()
-            proc = subprocess.run(argv, cwd=ROOT, env=self.env, stdout=log,
-                                  stderr=subprocess.STDOUT, timeout=170)
+            timeout = max(0.1, self.deadline - start)
+            try:
+                code = subprocess.run(argv, cwd=ROOT, env=self.env, stdout=log,
+                                      stderr=subprocess.STDOUT, timeout=timeout).returncode
+            except subprocess.TimeoutExpired:  # run() has killed and reaped it
+                code = None
             wall = time.perf_counter() - start
-        result = json.loads(result_path.read_text()) if result_path.exists() else {
-            "exit": proc.returncode, "error": "no result", "spans": [], "maxrss_mb": 0.0}
+        if code is None:
+            result = {"exit": None, "error": f"killed after {wall:.0f} s", "spans": [],
+                      "maxrss_mb": 0.0}
+        elif result_path.exists():
+            result = json.loads(result_path.read_text())
+        else:
+            result = {"exit": code, "error": "no result", "spans": [], "maxrss_mb": 0.0}
         result["wall"] = wall
-        result["ok"] = proc.returncode == 0 and result["exit"] == 0
+        result["ok"] = code == 0 and result["exit"] == 0
         result["npz"] = result_path.with_suffix(".npz")
         return result
 
@@ -204,12 +216,12 @@ def longcap_round(cmd: Commands, setup: dict, out: Path, seed: int) -> dict:
     passes = []
     for tag, records in (("pass1", setup["records_part"]), ("pass2", setup["records"])):
         passes.append(cmd.run(["longcap", "--records", records, "--backend", "mock",
-                               "--workers", str(THREADS), "--resume", str(journal),
+                               "--workers", str(LONGCAP_WORKERS), "--resume", str(journal),
                                "--out", str(out / tag)], out, tag))
     torn_journal = out / "torn_journal.jsonl"
     shutil.copyfile(setup["torn_journal"], torn_journal)
     torn = cmd.run(["longcap", "--records", setup["torn_records"], "--backend", "mock",
-                    "--workers", str(THREADS), "--resume", str(torn_journal),
+                    "--workers", str(LONGCAP_WORKERS), "--resume", str(torn_journal),
                     "--out", str(out / "torn")], out, "torn")
     n = setup["count"]
     # records, the clean and the torn resume, and four commands
