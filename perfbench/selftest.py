@@ -177,6 +177,9 @@ def eval_checks() -> None:
 
     chance = {("corpus", d, 1): 1 / 10000 for d in ("t2i", "i2t")}
     expect("chance, at chance", checks.check_chance(chance, 10000), False)
+    # an untrained checkpoint on seed 327312645 scores 5 i2t hits in 8000
+    expect("chance, five hits in 8000",
+           checks.check_chance({("corpus", "i2t", 1): 5 / 8000}, 8000), False)
     expect("chance, ten hits in 10000",
            checks.check_chance({**chance, ("corpus", "t2i", 1): 10 / 10000}, 10000), True)
 
