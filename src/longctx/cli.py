@@ -16,17 +16,17 @@ package version into the output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import (
-    PairedCorpus,
     SyntheticSpec,
     build_long_caption_benchmark,
     generate_synthetic,
@@ -44,6 +44,7 @@ from .encoders import (
 )
 from .errors import LongCtxError, UsageError
 from .evaluation import (
+    RetrievalResult,
     ZeroShotTask,
     format_retrieval_summary,
     permute_options,
@@ -69,6 +70,7 @@ from .tokenizer import (
     waste_report_csv_row,
 )
 from .trainer import (
+    LossPoint,
     TrainConfig,
     parse_config_file,
     steps_to_loss,
@@ -273,6 +275,33 @@ def _encoder_configs(cfg: dict, context_length: int, vocab_size: int, image_dim:
     return text_cfg, img_cfg
 
 
+@dataclass(frozen=True)
+class AblationRun:
+    context: int
+    t2i: RetrievalResult
+    i2t: RetrievalResult
+    curve: list[LossPoint]
+    steps_to_target: int | None     # first step at loss <= ln(batch_size)/2
+
+
+def run_ablation(cfg: dict, corpus, vocab, contexts, ks) -> list[AblationRun]:
+    """The context-length ablation for seed ``cfg["seed"]``: one model per
+    context, trained on the corpus with the ``ablate`` knobs of ``cfg`` and
+    scored by bidirectional retrieval on the same corpus."""
+    runs = []
+    for context in contexts:
+        train_cfg = _train_config(cfg, context, cfg["seed"])
+        text_cfg, img_cfg = _encoder_configs(cfg, context, vocab.size, corpus.image_dim)
+        result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg,
+                       vocab=vocab)
+        z_txt = result.model.encode_texts(corpus.captions())
+        z_img = result.model.encode_images(corpus.images())
+        t2i, i2t = recall_pair(z_img, z_txt, ks=ks)
+        steps = steps_to_loss(result.curve, math.log(cfg["batch_size"]) / 2)
+        runs.append(AblationRun(context, t2i, i2t, result.curve, steps))
+    return runs
+
+
 # -- commands -----------------------------------------------------------------------
 
 
@@ -336,7 +365,8 @@ def _load_model(cfg: dict) -> TrainedModel:
         _require_input(cfg, "checkpoint"))
     vocab = load_vocab(_require_input(cfg, "vocab"))
     return TrainedModel(text_cfg=text_cfg, img_cfg=img_cfg, params=params,
-                        vocab=vocab, log_scale=log_scale)
+                        vocab=vocab, log_scale=log_scale,
+                        dtype=str(params["txt.tok_emb"].dtype))
 
 
 def cmd_eval_retrieval(cfg: dict) -> int:
@@ -418,24 +448,19 @@ def cmd_ablate(cfg: dict) -> int:
     ks = _parse_int_list(cfg["ks"], "K")
     out = prepare_out_dir("ablate", cfg)
     vocab = train_bpe(corpus.captions(), cfg["vocab_size"], cfg["seed"])
+    runs = run_ablation(cfg, corpus, vocab, contexts, ks)
     table = [RETRIEVAL_CSV_HEADER.replace("benchmark", "context")]
     convergence = ["context,step,loss"]
-    summaries = []
-    for context in contexts:
-        train_cfg = _train_config(cfg, context, cfg["seed"])
-        text_cfg, img_cfg = _encoder_configs(cfg, context, vocab.size, corpus.image_dim)
-        result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg,
-                       vocab=vocab)
-        z_txt = result.model.encode_texts(corpus.captions())
-        z_img = result.model.encode_images(corpus.images())
-        t2i, i2t = recall_pair(z_img, z_txt, ks=ks)
-        table += retrieval_csv_rows(str(context), [t2i, i2t])
-        convergence += [f"{context},{p.step},{p.loss!r}" for p in result.curve]
-        summaries.append((context, t2i.recalls[min(ks)], i2t.recalls[min(ks)]))
+    for r in runs:
+        table += retrieval_csv_rows(str(r.context), [r.t2i, r.i2t])
+        convergence += [f"{r.context},{p.step},{p.loss!r}" for p in r.curve]
     (out / "ablation.csv").write_text("\n".join(table) + "\n")
     (out / "convergence.csv").write_text("\n".join(convergence) + "\n")
-    lines = ["context R@%d(t2i) R@%d(i2t)" % (min(ks), min(ks))]
-    lines += [f"{c:7d} {a:9.4f} {b:9.4f}" for c, a, b in summaries]
+    k = min(ks)
+    lines = [f"context R@{k}(t2i) R@{k}(i2t) steps_to_lnB/2"]
+    lines += [f"{r.context:7d} {r.t2i.recalls[k]:9.4f} {r.i2t.recalls[k]:9.4f} "
+              f"{'never' if r.steps_to_target is None else r.steps_to_target:>14}"
+              for r in runs]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"-> {out}")
@@ -459,10 +484,7 @@ def run(argv=None) -> int:
     try:
         cfg = resolve_config(args.command, args)
         return COMMANDS[args.command](cfg)
-    except LongCtxError as exc:
-        print(f"longctx {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LongCtxError, OSError) as exc:
         print(f"longctx {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

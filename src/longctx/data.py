@@ -19,15 +19,6 @@ import numpy as np
 from .errors import DataError, UsageError
 from .words import CLASS_WORDS, DISTRACTOR_POOL, SIGNATURE_POOL
 
-# Reference token-length statistics reported for the two long-text benchmark
-# corpora this lab models.  The two PMC-attributed rows disagree at the
-# source; both are recorded verbatim rather than reconciled.
-BENCHMARK_LENGTH_STATS = {
-    "cxr_reports": {"mean": 168.3, "median": 158, "min": 49, "max": 427},
-    "pmc_reports_as_printed": {"mean": 510, "median": 460, "min": 251, "max": 1022},
-}
-
-
 @dataclass(frozen=True)
 class CorpusRecord:
     id: str
@@ -382,10 +373,6 @@ def _draw_prototypes(rng, num_classes, dim, max_tries=50):
         np.fill_diagonal(cos, 0.0)
         if num_classes == 1 or np.abs(cos).max() < MAX_PROTOTYPE_COSINE:
             return protos
-    raise NumericErrorForPrototypes(
+    raise UsageError(
         f"could not draw {num_classes} prototypes with pairwise |cos| < "
         f"{MAX_PROTOTYPE_COSINE} in {max_tries} tries at dim {dim}")
-
-
-class NumericErrorForPrototypes(UsageError):
-    """Prototype separation is unattainable for the requested geometry."""

@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .numerics import Graph, backward, forward
+from .numerics import Graph, forward
 from .tokenizer import TokenSeq, Vocab, encode
 
 MASK_VALUE = -1e9

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DataError, UsageError
 
 DEFAULT_KS = (1, 5, 10)
-EXTENDED_KS = (1, 5, 10, 100)   # the alternative reported K set
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,10 @@ class RetrievalResult:
 
 
 def _check_unit(z, what):
+    # `<=`, not `>`: a NaN norm compares false either way, so NaN rows fail too
     norms = np.linalg.norm(z, axis=1)
-    if norms.size and np.max(np.abs(norms - 1.0)) > 1e-5:
-        raise UsageError(f"{what} embeddings are not unit-norm")
+    if not np.all(np.abs(norms - 1.0) <= 1e-5):
+        raise UsageError(f"{what} embeddings are not finite unit-norm rows")
 
 
 def retrieve(queries: np.ndarray, gallery: np.ndarray, ground_truth,

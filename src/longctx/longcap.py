@@ -19,7 +19,7 @@ import re
 import threading
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
@@ -345,7 +345,9 @@ def expand_acronyms(caption: str, acronym_map: dict) -> str:
         if pattern is None:
             pattern = re.compile(rf"\b{re.escape(acro)}\b")
             _ACRO_CACHE[acro] = pattern
-        caption = pattern.sub(f"{expansion} ({acro})", caption, count=1)
+        # a function, not a template: expansions may hold backslashes
+        replacement = f"{expansion} ({acro})"
+        caption = pattern.sub(lambda _: replacement, caption, count=1)
     return caption
 
 
@@ -466,43 +468,44 @@ def read_caption_records(path) -> list[CaptionRecord]:
     return records
 
 
+def _json_line(record) -> str:
+    """The one serializer of ``CaptionRecord`` and ``RecordResult`` lines."""
+    return json.dumps(asdict(record), sort_keys=True) + "\n"
+
+
 def write_caption_records(records, path) -> None:
     with Path(path).open("w") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "id": r.id, "image_ref": r.image_ref, "caption": r.caption,
-                "inline_mentions": list(r.inline_mentions), "abstract": r.abstract,
-                "acronym_map": r.acronym_map,
-            }, sort_keys=True) + "\n")
+        fh.writelines(_json_line(r) for r in records)
 
 
 def write_output_corpus(corpus: LongCapCorpus, path) -> None:
     with Path(path).open("w") as fh:
-        for r in corpus.results:
-            fh.write(json.dumps({
-                "id": r.id, "status": r.status, "caption": r.caption,
-                "low_content": r.low_content, "stage": r.stage,
-                "template_version": r.template_version,
-            }, sort_keys=True) + "\n")
+        fh.writelines(_json_line(r) for r in corpus.results)
 
 
 def append_journal(path, result: RecordResult) -> None:
     with Path(path).open("a") as fh:
-        fh.write(json.dumps({
-            "id": result.id, "status": result.status, "caption": result.caption,
-            "stage": result.stage, "low_content": result.low_content,
-            "template_version": result.template_version,
-        }, sort_keys=True) + "\n")
+        fh.write(_json_line(result))
 
 
 def read_journal(path) -> list[RecordResult]:
+    """The journaled results, in file order.
+
+    Every append ends with a newline, so a final line without one was torn
+    by a crash mid-append: it is cut from the file, so that the next append
+    starts a line of its own, and its record is processed again.  A
+    malformed complete line is a ``DataError``.
+    """
+    data = Path(path).read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        os.truncate(path, complete)
     results = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(data[:complete].splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        results.append(RecordResult(
-            id=obj["id"], status=obj["status"], caption=obj.get("caption", ""),
-            stage=obj.get("stage", ""), low_content=obj.get("low_content", False),
-            template_version=obj.get("template_version", TEMPLATE_VERSION)))
+        try:
+            results.append(RecordResult(**json.loads(line)))
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{path} line {lineno}: malformed journal entry ({exc})") from exc
     return results

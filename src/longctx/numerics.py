@@ -140,10 +140,9 @@ class Tape:
     backward pass never recomputes transcendentals.
     """
 
-    def __init__(self, graph: Graph, values, bound_inputs, aux):
+    def __init__(self, graph: Graph, values, aux):
         self.graph = graph
         self.values = values
-        self.bound_inputs = bound_inputs
         self.aux = aux
 
     @property
@@ -417,7 +416,7 @@ def _run(graph: Graph, bound: dict[str, np.ndarray], check_every_node: bool) -> 
                 _check_finite(out, node)
             values[node.idx] = out
             aux[node.idx] = extra
-    return Tape(graph, values, bound, aux)
+    return Tape(graph, values, aux)
 
 
 def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

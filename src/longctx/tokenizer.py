@@ -14,7 +14,7 @@ waste statistics compare content lengths against the cutoff directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, UsageError
@@ -78,8 +78,9 @@ class TokenWasteReport:
 
 
 def train_bpe(corpus: list[str], vocab_size: int, seed: int = 0) -> Vocab:
-    """Learn a byte-level merge table of exactly ``vocab_size`` ids.
+    """Learn a byte-level merge table of at most ``vocab_size`` ids.
 
+    Merging stops early, with fewer ids, when no adjacent pair is left.
     Fully deterministic: merge candidates are ranked by frequency with ties
     broken by lexicographic order of the candidate pair's byte strings.  The
     ``seed`` parameter is accepted for interface stability but unused.

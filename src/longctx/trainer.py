@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,45 +80,12 @@ class LossPoint:
     seconds: float
 
 
-LossCurve = list  # of LossPoint
-
-
 @dataclass
 class TrainResult:
     model: TrainedModel
     state: TrainState
     curve: list[LossPoint]
     config: TrainConfig
-
-
-def contrastive_loss(z_img: np.ndarray, z_txt: np.ndarray,
-                     log_scale: float) -> tuple[float, np.ndarray]:
-    """Symmetric InfoNCE-style loss over unit-norm embeddings.
-
-    sim[i][j] = exp(log_scale) * <z_img_i, z_txt_j>; the loss averages the
-    row-wise (image->text) and column-wise (text->image) cross-entropies with
-    the diagonal as the target.
-    """
-    z_img = np.asarray(z_img, dtype=np.float64)
-    z_txt = np.asarray(z_txt, dtype=np.float64)
-    if z_img.shape != z_txt.shape or z_img.ndim != 2:
-        raise UsageError(f"paired embeddings required, got {z_img.shape} / {z_txt.shape}")
-    n = z_img.shape[0]
-    if n < 2:
-        raise UsageError("contrastive loss needs at least 2 pairs")
-    for name, z in (("image", z_img), ("text", z_txt)):
-        norms = np.linalg.norm(z, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-5:
-            raise UsageError(f"{name} embeddings are not unit-norm")
-    sim = math.exp(log_scale) * (z_img @ z_txt.T)
-    loss = 0.5 * (_cross_entropy_rows(sim) + _cross_entropy_rows(sim.T))
-    return float(loss), sim
-
-
-def _cross_entropy_rows(sim: np.ndarray) -> float:
-    m = sim.max(axis=1, keepdims=True)
-    lse = np.squeeze(m, 1) + np.log(np.exp(sim - m).sum(axis=1))
-    return float(np.mean(lse - np.diagonal(sim)))
 
 
 def effective_warmup(cfg: TrainConfig, total_steps: int) -> int:

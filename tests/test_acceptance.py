@@ -2,7 +2,8 @@
 
 The context-length ablation (criteria 4 and 5) trains nine models (three
 seeds x three context lengths) on the full synthetic corpus and dominates
-the suite's runtime; both criteria read from the same shared run matrix.
+the suite's runtime; both criteria read from the same shared run matrix,
+built by the engine of `longctx ablate` (`cli.run_ablation`).
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import fixture_caption_records, unit_rows
+from longctx.cli import SCHEMAS, run_ablation
 from longctx.cli import run as cli_run
 from longctx.data import SyntheticSpec, generate_synthetic, save_corpus
 from longctx.encoders import (
@@ -25,14 +27,12 @@ from longctx.encoders import (
 from longctx.evaluation import ZeroShotTask, permute_options, recall_pair, retrieve, zero_shot_classify
 from longctx.longcap import MockBackend, run_pipeline, write_output_corpus
 from longctx.numerics import backward, evaluate, forward
-from longctx.tokenizer import content_ids, corpus_token_stats, encode, train_bpe
+from longctx.tokenizer import content_ids, corpus_token_stats, train_bpe
 from longctx.trainer import (
     TrainConfig,
     _build_train_graph,
     clip_gradients,
     lr_schedule,
-    steps_to_loss,
-    train,
 )
 
 RNG_DRAWS = 100
@@ -183,8 +183,9 @@ def test_criterion_3_token_waste_exactness():
 
 ABLATION_CONTEXTS = (77, 154, 512)
 ABLATION_SEEDS = (1, 2, 3)
-ABLATION_EPOCHS = 19
-ABLATION_BATCH = 32
+# the desk profile of `longctx ablate`, trained for 19 epochs
+ABLATION_PROFILE = {key: default for key, (_, default, _) in SCHEMAS["ablate"].items()}
+ABLATION_PROFILE["max_epochs"] = 19
 
 
 @pytest.fixture(scope="module")
@@ -194,28 +195,15 @@ def ablation_matrix():
                          distractor_prefix_tokens=100, class_token_position=110,
                          noise_std=0.15, seed=0)
     corpus, _ = generate_synthetic(spec)
-    vocab = train_bpe(corpus.captions(), 1850)
-    threshold = math.log(ABLATION_BATCH) / 2
+    vocab = train_bpe(corpus.captions(), ABLATION_PROFILE["vocab_size"])
     results = {}
     start = time.monotonic()
     for seed in ABLATION_SEEDS:
-        for context in ABLATION_CONTEXTS:
-            cfg = TrainConfig(context_length=context, batch_size=ABLATION_BATCH,
-                              max_epochs=ABLATION_EPOCHS, seed=seed,
-                              vocab_size=1850, learning_rate=2e-3,
-                              weight_decay=0.0, dtype="float32")
-            text_cfg = TextEncoderConfig(context_length=context, vocab_size=vocab.size,
-                                         embed_dim=48, num_layers=1, num_heads=2,
-                                         output_dim=32)
-            img_cfg = ImageEncoderConfig(input_dim=64, hidden_dim=128,
-                                         num_layers=2, output_dim=32)
-            result = train(cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
-            z_txt = result.model.encode_texts(corpus.captions(), batch_size=100)
-            z_img = result.model.encode_images(corpus.images())
-            t2i, _ = recall_pair(z_img, z_txt, ks=(1,))
-            results[(seed, context)] = {
-                "recall1": t2i.recalls[1],
-                "steps_to_threshold": steps_to_loss(result.curve, threshold),
+        cfg = {**ABLATION_PROFILE, "seed": seed}
+        for run in run_ablation(cfg, corpus, vocab, ABLATION_CONTEXTS, ks=(1,)):
+            results[(seed, run.context)] = {
+                "recall1": run.t2i.recalls[1],
+                "steps_to_threshold": run.steps_to_target,
             }
     results["wall_seconds"] = time.monotonic() - start
     return results

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from helpers import fixture_caption_records
+from longctx import cli
 from longctx.cli import run
-from longctx.data import SyntheticSpec, generate_synthetic, save_corpus
+from longctx.data import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
+from longctx.encoders import ImageEncoderConfig, TextEncoderConfig, save_checkpoint
+from longctx.evaluation import recall_pair
 from longctx.longcap import write_caption_records
+from longctx.tokenizer import save_vocab, train_bpe
+from longctx.trainer import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +154,36 @@ def test_ablate_deterministic(tmp_path, small_corpus_file):
     assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
     header = (out1 / "ablation.csv").read_text().splitlines()[0]
     assert header == "context,direction,K,recall"
+    summary = (out1 / "summary.txt").read_text().splitlines()
+    assert summary[0].split() == ["context", "R@1(t2i)", "R@1(i2t)", "steps_to_lnB/2"]
+    assert [row.split()[0] for row in summary[1:]] == ["8", "16"]
+
+
+def test_eval_retrieval_keeps_checkpoint_dtype(tmp_path, small_corpus_file, monkeypatch):
+    corpus = load_corpus(small_corpus_file)
+    vocab = train_bpe(corpus.captions(), 300)
+    text_cfg = TextEncoderConfig(context_length=16, vocab_size=vocab.size, embed_dim=16,
+                                 num_layers=1, num_heads=2, output_dim=8)
+    img_cfg = ImageEncoderConfig(input_dim=corpus.image_dim, hidden_dim=16, output_dim=8)
+    result = train(TrainConfig(context_length=16, batch_size=10, max_epochs=1,
+                               dtype="float32"),
+                   corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
+    save_vocab(vocab, tmp_path / "vocab")
+    save_checkpoint(tmp_path / "ckpt.npz", text_cfg, img_cfg,
+                    result.model.params, result.model.log_scale)
+    seen = {}
+
+    def keep_recall(z_img, z_txt, **kw):
+        seen["z_txt"] = z_txt
+        return recall_pair(z_img, z_txt, **kw)
+
+    monkeypatch.setattr(cli, "recall_pair", keep_recall)
+    assert run(["eval-retrieval", "--checkpoint", str(tmp_path / "ckpt.npz"),
+                "--vocab", str(tmp_path / "vocab"), "--corpus", str(small_corpus_file),
+                "--out", str(tmp_path / "ev")]) == 0
+    expected = result.model.encode_texts(corpus.captions())
+    assert seen["z_txt"].dtype == np.float32
+    np.testing.assert_array_equal(seen["z_txt"], expected)
 
 
 def test_config_file_and_env_precedence(tmp_path, small_corpus_file, monkeypatch):

@@ -187,6 +187,15 @@ def test_expand_rejects_empty_expansion():
         expand_acronyms("CXR", {"CXR": ""})
 
 
+def test_expand_inserts_backslash_expansion_literally():
+    expansion = r"comp\d \1 \g<0>"
+    assert expand_acronyms("CXR shows", {"CXR": expansion}) == expansion + " (CXR) shows"
+    result = process_record(simple_record(caption="HE stain of a cell",
+                                          acronym_map={"HE": expansion}), MockBackend())
+    assert result.status == "done"
+    assert expansion + " (HE)" in result.caption
+
+
 def test_expansion_present_for_every_occurring_acronym():
     acronyms = {"CT": "computed tomography", "MRI": "magnetic resonance imaging"}
     out = expand_acronyms("CT and MRI and CT", acronyms)
@@ -304,6 +313,38 @@ def test_journal_round_trip(tmp_path):
     entries = read_journal(journal)
     assert {e.id for e in entries} == {"fix-00", "fix-01"}
     assert all(e.template_version == "v1" for e in entries)
+
+
+def test_resume_from_torn_final_journal_line(tmp_path):
+    records = fixture_caption_records()
+    journal = tmp_path / "journal.jsonl"
+    first = MockBackend(seed=7)
+    run_pipeline(records[:4], first, journal_path=journal, max_workers=1)
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    second = MockBackend(seed=7)
+    full = run_pipeline(records, second, journal_path=journal, max_workers=1)
+    assert all(r.status == "done" for r in full.results) and len(full.results) == 10
+    # the three complete lines are not sent again; the torn record is
+    assert len(second.requests) == len(first.requests) / 4 * 7
+    touched = "\n".join(second.requests)
+    assert all(rec.caption not in touched for rec in records[:3])
+    assert records[3].caption in touched
+    assert sorted(e.id for e in read_journal(journal)) == [r.id for r in records]
+
+
+def test_torn_interior_journal_line_is_data_error(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    run_pipeline(fixture_caption_records()[:3], MockBackend(), journal_path=journal,
+                 max_workers=1)
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text(lines[0] + lines[1][:20] + "\n" + lines[2])
+    with pytest.raises(DataError, match="line 2"):
+        read_journal(journal)
+    for bad in (b'{"id": "x"}', b"\xff\xfe"):
+        journal.write_bytes(lines[0].encode() + bad + b"\n")
+        with pytest.raises(DataError, match="line 2"):
+            read_journal(journal)
 
 
 def test_make_backend_descriptors():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import contrastive_loss
 from longctx.data import SyntheticSpec, generate_synthetic
 from longctx.encoders import ImageEncoderConfig, TextEncoderConfig
 from longctx.errors import NumericError, UsageError
@@ -10,7 +11,6 @@ from longctx.numerics import backward, finite_difference_grad, forward
 from longctx.trainer import (
     TrainConfig,
     clip_gradients,
-    contrastive_loss,
     decayable,
     effective_warmup,
     lr_schedule,
