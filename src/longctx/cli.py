@@ -120,7 +120,6 @@ SCHEMAS = {
         "cutoff": (int, 77, "content-token cutoff"),
         "vocab": (str, "", "existing vocabulary directory"),
         "vocab_size": (int, 8192, "vocabulary size when training fresh"),
-        "seed": (int, 0, "seed"),
         "out": (str, "", "output directory"),
     },
     "make-synthetic": {
@@ -208,16 +207,26 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         for key, raw in parse_config_file(args.config).items():
             if key not in schema:
                 raise UsageError(f"unknown config key {key!r} for {command}")
-            merged[key] = schema[key][0](raw)
+            merged[key] = _cast(schema, key, raw, f"config file {args.config}")
     for key in schema:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
+        var = ENV_PREFIX + key.upper()
+        raw = os.environ.get(var)
         if raw is not None:
-            merged[key] = schema[key][0](raw)
+            merged[key] = _cast(schema, key, raw, f"environment variable {var}")
     for key in schema:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _cast(schema: dict, key: str, raw: str, source: str):
+    typ = schema[key][0]
+    try:
+        return typ(raw)
+    except ValueError:
+        raise UsageError(f"bad value {raw!r} for {key} in {source}: "
+                         f"expected {typ.__name__}") from None
 
 
 def prepare_out_dir(command: str, cfg: dict) -> Path:
@@ -316,7 +325,7 @@ def cmd_tokenize_stats(cfg: dict) -> int:
     if cfg["vocab"]:
         vocab = load_vocab(cfg["vocab"])
     else:
-        vocab = train_bpe(captions, cfg["vocab_size"], cfg["seed"])
+        vocab = train_bpe(captions, cfg["vocab_size"])
         save_vocab(vocab, out / "vocab")
     report = corpus_token_stats(vocab, captions, cfg["cutoff"])
     (out / "report.txt").write_text(format_waste_report(report))
@@ -347,7 +356,7 @@ def cmd_train(cfg: dict) -> int:
     corpus = load_corpus(_require_input(cfg, "corpus"))
     out = prepare_out_dir("train", cfg)
     train_cfg = _train_config(cfg, cfg["context_length"], cfg["seed"])
-    vocab = train_bpe(corpus.captions(), cfg["vocab_size"], cfg["seed"])
+    vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
     text_cfg, img_cfg = _encoder_configs(cfg, cfg["context_length"],
                                          vocab.size, corpus.image_dim)
     result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
@@ -447,7 +456,7 @@ def cmd_ablate(cfg: dict) -> int:
     contexts = _parse_int_list(cfg["contexts"], "context")
     ks = _parse_int_list(cfg["ks"], "K")
     out = prepare_out_dir("ablate", cfg)
-    vocab = train_bpe(corpus.captions(), cfg["vocab_size"], cfg["seed"])
+    vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
     runs = run_ablation(cfg, corpus, vocab, contexts, ks)
     table = [RETRIEVAL_CSV_HEADER.replace("benchmark", "context")]
     convergence = ["context,step,loss"]

@@ -13,6 +13,7 @@ waste statistics compare content lengths against the cutoff directly.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,17 +78,26 @@ class TokenWasteReport:
                  "wasted = sum(max(0, length - cutoff))")
 
 
-def train_bpe(corpus: list[str], vocab_size: int, seed: int = 0) -> Vocab:
+def train_bpe(corpus: list[str], vocab_size: int) -> Vocab:
     """Learn a byte-level merge table of at most ``vocab_size`` ids.
 
     Merging stops early, with fewer ids, when no adjacent pair is left.
-    Fully deterministic: merge candidates are ranked by frequency with ties
-    broken by lexicographic order of the candidate pair's byte strings.  The
-    ``seed`` parameter is accepted for interface stability but unused.
-    Layout: ids 0-255 are raw bytes, merged tokens follow, the three
-    specials (PAD, BOS, EOS) take the last three ids.
+    Fully deterministic: the most frequent pair is merged next; ties go to
+    the pair whose (left, right) byte strings sort first, where a string
+    sorts after the strings it is a prefix of.  No two ids spell the same
+    bytes (the argument is in ``tests/test_tokenizer.py``), so no tie is
+    left over.  Layout: ids 0-255 are raw bytes, merged tokens follow, the
+    three specials (PAD, BOS, EOS) take the last three ids.
+
+    Training is incremental (Sennrich et al. 2016).  The pair counts and,
+    for each pair, the set of chunks holding it are built once.  A merge
+    rewrites only the chunks that hold the merged pair, subtracting their
+    old pairs' counts and adding their new ones.  The next merge comes from
+    a lazy max-heap of (count, tie-break key) entries: each count change
+    pushes a new entry, and an entry whose count no longer matches is
+    stale and is dropped when it reaches the top.  The cost follows the
+    chunks each merge touches, not merges times corpus.
     """
-    del seed
     n_special = len(SPECIAL_NAMES)
     if vocab_size < 256 + n_special:
         raise UsageError(f"vocab_size must be >= {256 + n_special}, got {vocab_size}")
@@ -99,29 +109,54 @@ def train_bpe(corpus: list[str], vocab_size: int, seed: int = 0) -> Vocab:
         for chunk in _CHUNK_RE.findall(text):
             b = chunk.encode("utf-8")
             chunk_freq[b] = chunk_freq.get(b, 0) + 1
-    # chunk as list of current ids, carried through the merge rounds
-    items = [[list(b), f] for b, f in sorted(chunk_freq.items())]
+    chunks = sorted(chunk_freq)
+    words = [list(b) for b in chunks]          # each chunk as its current ids
+    freqs = [chunk_freq[b] for b in chunks]
 
     token_bytes: list[bytes] = [bytes([i]) for i in range(256)]
+    keys = [_token_key(b) for b in token_bytes]
+    counts: dict[tuple[int, int], int] = {}
+    where: dict[tuple[int, int], set[int]] = {}
+    for i, ids in enumerate(words):
+        for pair in zip(ids, ids[1:]):
+            counts[pair] = counts.get(pair, 0) + freqs[i]
+            where.setdefault(pair, set()).add(i)
+    heap = [(-c, keys[a] + keys[b], (a, b)) for (a, b), c in counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[int, int]] = []
-    num_merges = vocab_size - 256 - n_special
 
-    for _ in range(num_merges):
-        counts: dict[tuple[int, int], int] = {}
-        for ids, f in items:
-            for pair in zip(ids, ids[1:]):
-                counts[pair] = counts.get(pair, 0) + f
-        if not counts:
+    for _ in range(vocab_size - 256 - n_special):
+        while heap and counts.get(heap[0][2]) != -heap[0][0]:
+            heapq.heappop(heap)                 # stale: the count has moved
+        if not heap:
             break
-        best = max(counts.items(),
-                   key=lambda kv: (kv[1], _pair_sort_key(kv[0], token_bytes)))[0]
-        # max() prefers high count; invert the lexicographic key so that the
-        # tie winner is the lexicographically smallest pair
+        best = heapq.heappop(heap)[2]
         new_id = len(token_bytes)
         token_bytes.append(token_bytes[best[0]] + token_bytes[best[1]])
+        keys.append(_token_key(token_bytes[-1]))
         merges.append(best)
-        for item in items:
-            item[0] = _apply_merge(item[0], best, new_id)
+        delta: dict[tuple[int, int], int] = {}
+        for i in list(where[best]):
+            old = words[i]
+            new = words[i] = _apply_merge(old, best, new_id)
+            f = freqs[i]
+            old_pairs, new_pairs = list(zip(old, old[1:])), list(zip(new, new[1:]))
+            for pair in old_pairs:
+                delta[pair] = delta.get(pair, 0) - f
+            for pair in new_pairs:
+                delta[pair] = delta.get(pair, 0) + f
+            for pair in set(old_pairs).difference(new_pairs):
+                where[pair].discard(i)
+            for pair in set(new_pairs).difference(old_pairs):
+                where.setdefault(pair, set()).add(i)
+        for pair, d in delta.items():
+            if d:
+                c = counts.get(pair, 0) + d
+                if c:
+                    counts[pair] = c
+                    heapq.heappush(heap, (-c, keys[pair[0]] + keys[pair[1]], pair))
+                else:
+                    del counts[pair], where[pair]
 
     pad_id = len(token_bytes)
     token_bytes.extend([b"", b"", b""])
@@ -129,11 +164,11 @@ def train_bpe(corpus: list[str], vocab_size: int, seed: int = 0) -> Vocab:
                  pad_id=pad_id, bos_id=pad_id + 1, eos_id=pad_id + 2)
 
 
-def _pair_sort_key(pair, token_bytes):
-    # negated bytes so that max() picks the lexicographically smallest pair
-    left = bytes(255 - b for b in token_bytes[pair[0]])
-    right = bytes(255 - b for b in token_bytes[pair[1]])
-    return (left, right)
+def _token_key(b: bytes) -> str:
+    # one code point per byte plus a terminator above every byte, so that a
+    # string sorts after the strings it is a prefix of; the key of a pair is
+    # the concatenation of its two token keys
+    return b.decode("latin-1") + "\u0100"
 
 
 def _apply_merge(ids, pair, new_id):
@@ -268,25 +303,63 @@ def save_vocab(vocab: Vocab, directory) -> None:
 
 
 def load_vocab(directory) -> Vocab:
+    """Read a vocabulary written by ``save_vocab``, checking every line.
+
+    A malformed line, a token table that is not dense or does not start
+    with the 256 bytes, a special id outside it, or a merge that is not the
+    concatenation of two earlier tokens raises a ``DataError`` naming the
+    file and line.
+    """
     directory = Path(directory)
+    tokens_path, merges_path = directory / "tokens.txt", directory / "merges.txt"
     try:
-        token_lines = (directory / "tokens.txt").read_text().splitlines()
-        merge_lines = (directory / "merges.txt").read_text().splitlines()
-    except OSError as exc:
+        token_lines = tokens_path.read_text().splitlines()
+        merge_lines = merges_path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read vocabulary from {directory}: {exc}") from exc
-    header, specials = token_lines[0].split(), token_lines[1:4]
-    if header != ["version", str(VOCAB_FORMAT_VERSION)]:
-        raise DataError(f"unsupported vocabulary file version: {token_lines[0]!r}")
+    if not token_lines or token_lines[0].split() != ["version", str(VOCAB_FORMAT_VERSION)]:
+        raise DataError(f"{tokens_path} line 1: unsupported vocabulary file version "
+                        f"{token_lines[0] if token_lines else ''!r}")
+    if len(token_lines) < 4:
+        raise DataError(f"{tokens_path}: the pad, bos and eos lines are missing")
     ids = {}
-    for line in specials:
-        name, value = line.split()
-        ids[name] = int(value)
+    for lineno, (name, line) in enumerate(zip(SPECIAL_NAMES, token_lines[1:4]), start=2):
+        fields = line.split()
+        if len(fields) != 2 or fields[0] != name or not fields[1].isdigit():
+            raise DataError(f"{tokens_path} line {lineno}: expected '{name} <id>', got {line!r}")
+        ids[name] = int(fields[1])
     token_bytes = []
-    for line in token_lines[4:]:
-        idx, hexpart = (line.split() + [""])[:2]
-        if int(idx) != len(token_bytes):
-            raise DataError(f"token table ids are not dense at line {line!r}")
-        token_bytes.append(bytes.fromhex(hexpart))
-    merges = tuple((int(a), int(b)) for a, b in (ln.split() for ln in merge_lines))
-    return Vocab(merges=merges, token_bytes=tuple(token_bytes),
+    for lineno, line in enumerate(token_lines[4:], start=5):
+        fields = line.split()
+        try:
+            if len(fields) not in (1, 2):
+                raise ValueError
+            idx, data = int(fields[0]), bytes.fromhex(fields[1] if len(fields) == 2 else "")
+        except ValueError:
+            raise DataError(f"{tokens_path} line {lineno}: expected '<id> <hex bytes>', "
+                            f"got {line!r}") from None
+        if idx != len(token_bytes):
+            raise DataError(f"{tokens_path} line {lineno}: token table ids are not dense "
+                            f"at {line!r}")
+        if idx < 256 and data != bytes([idx]):
+            raise DataError(f"{tokens_path} line {lineno}: id {idx} must be the byte {idx:02x}")
+        token_bytes.append(data)
+    for lineno, name in enumerate(SPECIAL_NAMES, start=2):
+        if not 256 <= ids[name] < len(token_bytes):
+            raise DataError(f"{tokens_path} line {lineno}: {name} id {ids[name]} is outside "
+                            f"the merged and special ids")
+    merges = []
+    for lineno, line in enumerate(merge_lines, start=1):
+        new_id = 256 + len(merges)
+        try:
+            left, right = (int(part) for part in line.split())
+        except ValueError:
+            raise DataError(f"{merges_path} line {lineno}: expected '<left id> <right id>', "
+                            f"got {line!r}") from None
+        if not (0 <= left < new_id and 0 <= right < new_id and new_id < len(token_bytes)
+                and token_bytes[new_id] == token_bytes[left] + token_bytes[right]):
+            raise DataError(f"{merges_path} line {lineno}: merge {left} {right} is not two "
+                            f"ids below {new_id} whose bytes spell token {new_id}")
+        merges.append((left, right))
+    return Vocab(merges=tuple(merges), token_bytes=tuple(token_bytes),
                  pad_id=ids["pad"], bos_id=ids["bos"], eos_id=ids["eos"])

@@ -159,7 +159,7 @@ def train(cfg: TrainConfig, corpus: PairedCorpus,
     if len(corpus) < cfg.batch_size:
         raise UsageError(f"corpus size {len(corpus)} < batch_size {cfg.batch_size}")
     if vocab is None:
-        vocab = train_bpe(corpus.captions(), cfg.vocab_size, cfg.seed)
+        vocab = train_bpe(corpus.captions(), cfg.vocab_size)
     if text_cfg is None:
         text_cfg = TextEncoderConfig(context_length=cfg.context_length,
                                      vocab_size=vocab.size)

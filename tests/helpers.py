@@ -6,6 +6,7 @@ import numpy as np
 
 from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
+from longctx.tokenizer import _CHUNK_RE, Vocab
 
 
 def unit_rows(rng, n, d):
@@ -73,3 +74,55 @@ def fixture_caption_records():
                       acronym_map=acronyms)
         for i, (cap, mentions, abstract, acronyms) in enumerate(rows)
     ]
+
+
+def reference_train_bpe(corpus: list[str], vocab_size: int) -> Vocab:
+    """Oracle BPE trainer: recount every pair of every chunk for each merge.
+
+    Ties in count go to the pair with the lexicographically smallest
+    (left, right) byte strings, where a string sorts after the strings it is
+    a prefix of (the effect of comparing byte-negated strings); of pairs with
+    equal byte strings, the first counted wins (``max`` keeps the first
+    maximum in the count table's insertion order).
+    """
+    chunk_freq: dict[bytes, int] = {}
+    for text in corpus:
+        for chunk in _CHUNK_RE.findall(text):
+            b = chunk.encode("utf-8")
+            chunk_freq[b] = chunk_freq.get(b, 0) + 1
+    items = [[list(b), f] for b, f in sorted(chunk_freq.items())]
+
+    token_bytes: list[bytes] = [bytes([i]) for i in range(256)]
+    merges: list[tuple[int, int]] = []
+
+    def sort_key(pair):
+        left = bytes(255 - b for b in token_bytes[pair[0]])
+        right = bytes(255 - b for b in token_bytes[pair[1]])
+        return (left, right)
+
+    for _ in range(vocab_size - 259):
+        counts: dict[tuple[int, int], int] = {}
+        for ids, f in items:
+            for pair in zip(ids, ids[1:]):
+                counts[pair] = counts.get(pair, 0) + f
+        if not counts:
+            break
+        best = max(counts.items(), key=lambda kv: (kv[1], sort_key(kv[0])))[0]
+        new_id = len(token_bytes)
+        token_bytes.append(token_bytes[best[0]] + token_bytes[best[1]])
+        merges.append(best)
+        for item in items:
+            ids, out, i = item[0], [], 0
+            while i < len(ids):
+                if i + 1 < len(ids) and (ids[i], ids[i + 1]) == best:
+                    out.append(new_id)
+                    i += 2
+                else:
+                    out.append(ids[i])
+                    i += 1
+            item[0] = out
+
+    pad_id = len(token_bytes)
+    token_bytes.extend([b"", b"", b""])
+    return Vocab(merges=tuple(merges), token_bytes=tuple(token_bytes),
+                 pad_id=pad_id, bos_id=pad_id + 1, eos_id=pad_id + 2)

@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ def test_tokenize_stats_matches_library_recount(tmp_path, small_corpus_file):
     from longctx.data import load_corpus
     from longctx.tokenizer import content_ids, train_bpe
     captions = load_corpus(small_corpus_file).captions()
-    vocab = train_bpe(captions, 300, 0)
+    vocab = train_bpe(captions, 300)
     lengths = [len(content_ids(vocab, c)) for c in captions]
     assert int(fields["total_tokens"]) == sum(lengths)
     assert int(fields["wasted_tokens"]) == sum(max(0, n - 5) for n in lengths)
@@ -218,3 +217,34 @@ def test_missing_file_is_one_line_diagnostic(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "error" in err
+
+
+def test_bad_env_value_is_one_line_diagnostic(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LONGCTX_SEED", "abc")
+    assert run(["make-synthetic", "--out", str(tmp_path / "syn")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "LONGCTX_SEED" in err and "'abc'" in err
+
+
+def test_bad_config_file_value_is_one_line_diagnostic(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("seed = abc\n")
+    assert run(["make-synthetic", "--config", str(cfg_file), "--out", str(tmp_path / "syn")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(cfg_file) in err and "seed" in err
+
+
+def test_corrupt_vocab_is_one_line_diagnostic(tmp_path, small_corpus_file, capsys):
+    save_vocab(train_bpe(load_corpus(small_corpus_file).captions(), 300), tmp_path / "vocab")
+    tokens = tmp_path / "vocab" / "tokens.txt"
+    lines = tokens.read_text().splitlines()
+    lines[5] = "1 zz"
+    tokens.write_text("\n".join(lines) + "\n")
+    code = run(["tokenize-stats", "--corpus", str(small_corpus_file),
+                "--vocab", str(tmp_path / "vocab"), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{tokens} line 6" in err

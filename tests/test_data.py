@@ -3,7 +3,6 @@ import pytest
 
 from longctx.data import (
     Article,
-    BenchmarkBuild,
     CorpusRecord,
     Figure,
     PairedCorpus,

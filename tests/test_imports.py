@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package or test module imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "longctx"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "longctx"
+MODULES = ([pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))]
+           + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -23,7 +26,7 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

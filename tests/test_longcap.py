@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from helpers import fixture_caption_records

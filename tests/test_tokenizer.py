@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longctx.errors import UsageError
+from helpers import reference_train_bpe
+from longctx.errors import DataError, UsageError
 from longctx.tokenizer import (
-    TokenSeq,
     content_ids,
     corpus_token_stats,
     decode,
@@ -47,12 +47,42 @@ def test_round_trip_on_corpus(vocab):
 
 
 def test_training_is_deterministic(tmp_path):
-    a = train_bpe(CORPUS, vocab_size=300, seed=1)
-    b = train_bpe(CORPUS, vocab_size=300, seed=1)
+    a = train_bpe(CORPUS, vocab_size=300)
+    b = train_bpe(CORPUS, vocab_size=300)
     save_vocab(a, tmp_path / "a")
     save_vocab(b, tmp_path / "b")
     assert (tmp_path / "a" / "tokens.txt").read_bytes() == (tmp_path / "b" / "tokens.txt").read_bytes()
     assert (tmp_path / "a" / "merges.txt").read_bytes() == (tmp_path / "b" / "merges.txt").read_bytes()
+
+
+def test_matches_reference_through_exhaustion():
+    v = train_bpe(CORPUS, vocab_size=600)
+    ref = reference_train_bpe(CORPUS, vocab_size=600)
+    assert 0 < len(v.merges) < 600 - 259      # stopped: no pair left
+    assert (v.merges, v.token_bytes) == (ref.merges, ref.token_bytes)
+
+
+# The reference's last resort (of pairs with equal byte strings, the first
+# counted wins) never decides a merge, because no two ids spell the same
+# bytes.  Take a token T made by merge t from a span s of some chunk.  Merges
+# only remove segment boundaries, so both ends of s are boundaries after each
+# of the first t merges, and a left-to-right pass that keeps a boundary treats
+# the tokens between two boundaries as it would treat them alone.  By
+# induction the first t merges turn the bytes of s alone into [T].  A token T'
+# made later from the same bytes is what those bytes alone turn into at its
+# merge; a single token stays single, so T' = T.  The property test checks
+# the premise on every corpus it draws.
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["ab", "aab ", "a b\n", "abc  ", "aé ", "é中 a", "xy\tz "]).flatmap(
+           lambda alphabet: st.lists(st.text(alphabet, max_size=40), min_size=1, max_size=8)),
+       st.integers(259, 600))
+def test_train_bpe_matches_reference(corpus, vocab_size):
+    v = train_bpe(corpus, vocab_size)
+    ref = reference_train_bpe(corpus, vocab_size)
+    assert v.merges == ref.merges
+    assert v.token_bytes == ref.token_bytes
+    spelled = v.token_bytes[:v.pad_id]
+    assert len(set(spelled)) == len(spelled)
 
 
 def test_vocab_file_round_trip(tmp_path, vocab):
@@ -61,6 +91,30 @@ def test_vocab_file_round_trip(tmp_path, vocab):
     assert loaded == vocab
     text = CORPUS[1]
     assert content_ids(loaded, text) == content_ids(vocab, text)
+
+
+@pytest.mark.parametrize("name, lineno, text", [
+    ("tokens.txt", 6, "1 zz"),              # not hex
+    ("tokens.txt", 6, "1 61 62"),           # three fields
+    ("tokens.txt", 6, "2 01"),              # ids not dense
+    ("tokens.txt", 5, "0 01"),              # id 0 is not the byte 00
+    ("tokens.txt", 2, "pad x"),             # special id not a number
+    ("tokens.txt", 3, "bos 99999"),         # special id outside the table
+    ("merges.txt", 1, "1 2 3"),             # three fields
+    ("merges.txt", 1, "a b"),               # not ids
+    ("merges.txt", 2, "257 0"),             # an id not yet defined
+    ("merges.txt", 1, "0 0"),               # does not spell token 256
+])
+def test_corrupt_vocab_names_file_and_line(tmp_path, vocab, name, lineno, text):
+    save_vocab(vocab, tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as info:
+        load_vocab(tmp_path)
+    message = str(info.value)
+    assert str(path) in message and f"line {lineno}" in message and "\n" not in message
 
 
 def test_encode_under_cutoff(vocab):
