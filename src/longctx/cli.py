@@ -42,7 +42,7 @@ from .encoders import (
     load_checkpoint,
     save_checkpoint,
 )
-from .errors import LongCtxError, UsageError
+from .errors import DataError, LongCtxError, UsageError
 from .evaluation import (
     RetrievalResult,
     ZeroShotTask,
@@ -322,13 +322,18 @@ def cmd_tokenize_stats(cfg: dict) -> int:
     else:
         raise UsageError("missing required input: --corpus or --captions")
     out = prepare_out_dir("tokenize-stats", cfg)
+    short = ""
     if cfg["vocab"]:
         vocab = load_vocab(cfg["vocab"])
     else:
         vocab = train_bpe(captions, cfg["vocab_size"])
         save_vocab(vocab, out / "vocab")
+        if vocab.size < cfg["vocab_size"]:
+            short = f"trained_vocab_size={vocab.size}\nrequested_vocab_size={cfg['vocab_size']}\n"
+            print(f"vocabulary: trained {vocab.size} of the {cfg['vocab_size']} ids "
+                  f"asked for; no pair was left to merge")
     report = corpus_token_stats(vocab, captions, cfg["cutoff"])
-    (out / "report.txt").write_text(format_waste_report(report))
+    (out / "report.txt").write_text(format_waste_report(report) + short)
     (out / "summary.csv").write_text(
         WASTE_CSV_HEADER + "\n" + waste_report_csv_row(report) + "\n")
     print(f"cutoff={report.cutoff} waste_fraction={report.waste_fraction:.4f} "
@@ -370,9 +375,12 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _load_model(cfg: dict) -> TrainedModel:
-    text_cfg, img_cfg, params, log_scale = load_checkpoint(
-        _require_input(cfg, "checkpoint"))
-    vocab = load_vocab(_require_input(cfg, "vocab"))
+    checkpoint, vocab_dir = _require_input(cfg, "checkpoint"), _require_input(cfg, "vocab")
+    text_cfg, img_cfg, params, log_scale = load_checkpoint(checkpoint)
+    vocab = load_vocab(vocab_dir)
+    if vocab.size != text_cfg.vocab_size:
+        raise DataError(f"vocabulary {vocab_dir} has {vocab.size} ids but checkpoint "
+                        f"{checkpoint} was trained on {text_cfg.vocab_size}")
     return TrainedModel(text_cfg=text_cfg, img_cfg=img_cfg, params=params,
                         vocab=vocab, log_scale=log_scale,
                         dtype=str(params["txt.tok_emb"].dtype))

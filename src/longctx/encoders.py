@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -308,7 +308,7 @@ def load_checkpoint(path):
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
-            if meta.get("format") != "longctx-checkpoint":
+            if not isinstance(meta, dict) or meta.get("format") != "longctx-checkpoint":
                 raise DataError(f"{path} is not a checkpoint file")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
@@ -316,5 +316,22 @@ def load_checkpoint(path):
                       if k.startswith("param/")}
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
-    return (TextEncoderConfig(**meta["text_cfg"]), ImageEncoderConfig(**meta["img_cfg"]),
-            params, meta["log_scale"])
+    log_scale = meta.get("log_scale")
+    if type(log_scale) not in (int, float):
+        raise DataError(f"checkpoint {path}: bad or missing log_scale in the header")
+    return (_header_config(TextEncoderConfig, meta, "text_cfg", path),
+            _header_config(ImageEncoderConfig, meta, "img_cfg", path), params, log_scale)
+
+
+def _header_config(cls, meta: dict, key: str, path):
+    """One encoder config from a checkpoint header: every field, each a
+    positive int, and a config the class accepts."""
+    raw = meta.get(key)
+    names = {f.name for f in fields(cls)}
+    if (not isinstance(raw, dict) or set(raw) != names
+            or not all(type(v) is int and v > 0 for v in raw.values())):
+        raise DataError(f"checkpoint {path}: bad or missing {key} in the header: {raw!r}")
+    try:
+        return cls(**raw)
+    except UsageError as exc:
+        raise DataError(f"checkpoint {path}: bad {key} in the header: {exc}") from None

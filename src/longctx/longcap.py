@@ -17,6 +17,7 @@ import json
 import os
 import re
 import threading
+import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -119,7 +120,7 @@ class FeasibilityReport:
 
 
 class BackendError(Exception):
-    """Backend transport failure after the configured number of attempts."""
+    """Backend transport failure; ``attempts`` is how many requests were sent."""
 
     def __init__(self, message, attempts=1):
         super().__init__(message)
@@ -133,23 +134,33 @@ class ParseFailure(Exception):
 # -- backends --------------------------------------------------------------------
 
 
-class MockBackend:
+class RequestLog:
+    """Every prompt a backend was asked for, in arrival order, across worker
+    threads.  The log supports resume and determinism assertions."""
+
+    def __init__(self):
+        self.requests: list[str] = []
+        self._lock = threading.Lock()
+
+    def _log(self, prompt: str) -> None:
+        with self._lock:
+            self.requests.append(prompt)
+
+
+class MockBackend(RequestLog):
     """Deterministic in-process stand-in for the generation model.
 
     Responses are a pure function of (prompt, image_ref, seed): augmentation
     echoes the caption plus its context, assessment labels features by a
     fixed non-visual marker list, refinement joins the feasible features.
-    A request log supports resume and determinism assertions.
     """
 
     def __init__(self, seed: int = 0):
+        super().__init__()
         self.seed = seed
-        self.requests: list[str] = []
-        self._lock = threading.Lock()
 
     def generate(self, prompt: str, image_ref: str | None = None) -> str:
-        with self._lock:
-            self.requests.append(prompt)
+        self._log(prompt)
         task = prompt.split("\n", 1)[0].removeprefix("TASK: ").strip()
         if task == "augment":
             return self._augment(prompt)
@@ -204,21 +215,30 @@ def split_atomic_features(caption: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-class HttpBackend:
-    """POSTs the prompt (and an opaque image reference) to a text endpoint."""
+# waits before the 2nd, 3rd, ... attempt: 0.5 s, doubling, at most 8 s
+RETRY_BACKOFF_S = 0.5
+RETRY_BACKOFF_MAX_S = 8.0
+
+
+class HttpBackend(RequestLog):
+    """POSTs the prompt (and an opaque image reference) to a text endpoint.
+
+    Connection errors, timeouts and 5xx replies are retried after a capped
+    exponential backoff; any other failure, a 4xx reply included, is final.
+    """
 
     def __init__(self, endpoint: str, token_env: str = "LONGCTX_BACKEND_TOKEN",
                  timeout: float = 60.0, transport_attempts: int = 3):
+        super().__init__()
+        if transport_attempts < 1:
+            raise UsageError("transport_attempts must be at least 1")
         self.endpoint = endpoint
         self.token_env = token_env
         self.timeout = timeout
         self.transport_attempts = transport_attempts
-        self.requests: list[str] = []
-        self._lock = threading.Lock()
 
     def generate(self, prompt: str, image_ref: str | None = None) -> str:
-        with self._lock:
-            self.requests.append(prompt)
+        self._log(prompt)
         headers = {}
         token = os.environ.get(self.token_env, "")
         if token:
@@ -226,17 +246,26 @@ class HttpBackend:
         payload = {"prompt": prompt}
         if image_ref:
             payload["image_ref"] = image_ref
-        last = None
         for attempt in range(1, self.transport_attempts + 1):
+            if attempt > 1:
+                time.sleep(min(RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_S * 2 ** (attempt - 2)))
             try:
                 resp = requests.post(self.endpoint, json=payload,
                                      headers=headers, timeout=self.timeout)
                 resp.raise_for_status()
                 return resp.text
-            except requests.RequestException as exc:
+            except (requests.ConnectionError, requests.Timeout) as exc:
                 last = exc
-        raise BackendError(f"backend {self.endpoint} failed: {last}",
-                           attempts=self.transport_attempts)
+            except requests.HTTPError as exc:
+                if resp.status_code < 500:
+                    raise BackendError(f"backend {self.endpoint} refused: {exc}",
+                                       attempts=attempt) from exc
+                last = exc
+            except requests.RequestException as exc:
+                raise BackendError(f"backend {self.endpoint} failed: {exc}",
+                                   attempts=attempt) from exc
+        raise BackendError(f"backend {self.endpoint} failed after {attempt} attempts: {last}",
+                           attempts=attempt)
 
 
 def make_backend(descriptor: str, seed: int = 0):

@@ -174,6 +174,12 @@ def _broadcastable(sa, sb):
     return True
 
 
+def _broadcasts_to(shape, target):
+    """True when broadcasting ``shape`` against ``target`` yields ``target``."""
+    return len(shape) <= len(target) and all(
+        d in (1, t) for d, t in zip(reversed(shape), reversed(target)))
+
+
 def _sum_to_shape(g, shape):
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == tuple(shape):
@@ -205,14 +211,6 @@ def _gelu_tanh(x):
 
 def _gelu_grad(x, t, x2):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-
-
-def _layer_norm_parts(x):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x - mu) * inv
-    return xhat, inv
 
 
 # -- forward rules -----------------------------------------------------------
@@ -253,10 +251,14 @@ def _fwd(node, xs):
     if op == "layer_norm":
         x, gain, bias = xs
         _require(x.ndim >= 1, node, "layer_norm needs >=1-d input")
-        _require(_broadcastable(x.shape, gain.shape) and _broadcastable(x.shape, bias.shape),
+        _require(_broadcasts_to(gain.shape, x.shape) and _broadcasts_to(bias.shape, x.shape),
                  node, "gain/bias not broadcastable to input")
-        xhat, inv = _layer_norm_parts(x)
-        return xhat * gain + bias, (xhat, inv)
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
+        xhat *= inv
+        y = xhat * gain
+        y += bias
+        return y, (xhat, inv)
     if op == "l2_normalize":
         x = xs[0]
         n = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -310,7 +312,13 @@ def _vjp(node, xs, y, gy, aux):
     if op == "matmul":
         a, b = xs
         ga = np.matmul(gy, np.swapaxes(b, -1, -2))
-        gb = np.matmul(np.swapaxes(a, -1, -2), gy)
+        if a.shape[-2] == 1:
+            # aT @ gy sums one product per element: an outer product.  BLAS
+            # accumulates onto +0, so += 0.0 turns -0 products into +0 too.
+            gb = np.multiply(np.swapaxes(a, -1, -2), gy, order="C")
+            gb += 0.0
+        else:
+            gb = np.matmul(np.swapaxes(a, -1, -2), gy)
         return [_sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)]
     if op == "add":
         return [_sum_to_shape(gy, xs[0].shape), _sum_to_shape(gy, xs[1].shape)]
@@ -331,18 +339,26 @@ def _vjp(node, xs, y, gy, aux):
     if op == "layer_norm":
         x, gain, bias = xs
         xhat, inv = aux
-        dxhat = gy * gain
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        dgain = _sum_to_shape(gy * xhat, gain.shape)
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place
+        dx = gy * gain
+        t = dx * xhat
+        t_mean = t.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, t_mean, out=t)
+        dx *= inv
+        dgain = _sum_to_shape(np.multiply(gy, xhat, out=t), gain.shape)
         dbias = _sum_to_shape(gy, bias.shape)
         return [dx, dgain, dbias]
     if op == "l2_normalize":
         return [(gy - y * (gy * y).sum(axis=-1, keepdims=True)) / aux]
     if op == "embedding":
         table, ids = xs
-        gt = np.zeros_like(table)
-        np.add.at(gt, ids, gy)
+        # one 1-D scatter-add (numpy's fast path) into the flat table; each
+        # element still receives its rows' values in position order
+        d = table.shape[1]
+        gt = np.zeros(table.shape, dtype=table.dtype)
+        flat_ids = ids.astype(np.intp, copy=False)[..., None] * d + np.arange(d)
+        np.add.at(gt.reshape(-1), flat_ids.reshape(-1), gy.reshape(-1))
         return [gt, None]
     if op == "gather_rows":
         x, idx = xs

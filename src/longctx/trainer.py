@@ -63,13 +63,50 @@ class TrainConfig:
             raise UsageError("contrastive training needs batch_size >= 2")
 
 
+class FlatBuffers:
+    """Parameters, both AdamW moments and the gradient as one contiguous
+    buffer each, plus a scratch buffer, so that an update is a few
+    whole-buffer ufuncs that allocate nothing.  Decayable parameters come
+    first: weight decay covers the leading ``n_decay`` elements."""
+
+    def __init__(self, params: dict):
+        self.shapes = {k: p.shape for k, p in params.items()}
+        self.order = sorted(params, key=lambda k: not decayable(k))
+        self.n_decay = sum(params[k].size for k in self.order if decayable(k))
+        size = sum(p.size for p in params.values())
+        dtype = np.result_type(*params.values())
+        self.p, self.m, self.v, self.g, self.scratch = (
+            np.zeros(size, dtype=dtype) for _ in range(5))
+        self.gather(params, self.p)
+
+    def gather(self, arrays: dict, buf: np.ndarray) -> None:
+        np.concatenate([arrays[k].ravel() for k in self.order], out=buf)
+
+    def views(self, buf: np.ndarray) -> dict:
+        """``buf`` cut into the parameters' shapes, in the parameters' order."""
+        out, start = {}, 0
+        for k in self.order:
+            n = math.prod(self.shapes[k])
+            out[k] = buf[start:start + n].reshape(self.shapes[k])
+            start += n
+        return {k: out[k] for k in self.shapes}
+
+
 @dataclass
 class TrainState:
-    params: dict
-    m: dict
-    v: dict
+    params: dict    # views into flat.p
+    m: dict         # views into flat.m
+    v: dict         # views into flat.v
     step: int
     log_scale: float
+    flat: FlatBuffers
+
+    @classmethod
+    def start(cls, params: dict, log_scale: float) -> TrainState:
+        """Step 0: the parameters copied into new flat buffers, zero moments."""
+        flat = FlatBuffers(params)
+        return cls(params=flat.views(flat.p), m=flat.views(flat.m),
+                   v=flat.views(flat.v), step=0, log_scale=log_scale, flat=flat)
 
 
 @dataclass(frozen=True)
@@ -173,10 +210,7 @@ def train(cfg: TrainConfig, corpus: PairedCorpus,
     params = {k: v.astype(cfg.dtype) for k, v in init_params(text_cfg, img_cfg,
                                                              cfg.seed).items()}
     params["log_scale"] = np.asarray(cfg.log_scale_init, dtype=cfg.dtype)
-    state = TrainState(params=params,
-                       m={k: np.zeros_like(v) for k, v in params.items()},
-                       v={k: np.zeros_like(v) for k, v in params.items()},
-                       step=0, log_scale=cfg.log_scale_init)
+    state = TrainState.start(params, cfg.log_scale_init)
 
     seqs = [encode(vocab, r.caption, cfg.context_length) for r in corpus.records]
     ids_all, visible_all = batch_arrays(seqs, pad_id=vocab.pad_id,
@@ -219,7 +253,7 @@ def train(cfg: TrainConfig, corpus: PairedCorpus,
             lr = lr_schedule(state.step, cfg, total_steps)
             _adamw_update(state, grads, lr, cfg)
             state.log_scale = min(float(state.params["log_scale"]), cfg.log_scale_max)
-            state.params["log_scale"] = np.asarray(state.log_scale, dtype=cfg.dtype)
+            state.params["log_scale"][...] = state.log_scale
             curve.append(LossPoint(step=state.step, loss=loss, lr=lr,
                                    seconds=time.perf_counter() - t0))
             state.step += 1
@@ -235,20 +269,26 @@ def _round_up(n: int, multiple: int, cap: int) -> int:
 
 
 def _adamw_update(state: TrainState, grads: dict, lr: float, cfg: TrainConfig) -> None:
+    """Decoupled-weight-decay Adam over the flat buffers, in place."""
+    f = state.flat
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for k, g in grads.items():
-        m = state.m[k]
-        v = state.v[k]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if decayable(k):
-            update = update + cfg.weight_decay * state.params[k]
-        state.params[k] = state.params[k] - lr * update
+    f.gather(grads, f.g)
+    f.m *= cfg.beta1
+    f.m += np.multiply(f.g, 1.0 - cfg.beta1, out=f.scratch)
+    f.v *= cfg.beta2
+    f.v += np.multiply(np.square(f.g, out=f.scratch), 1.0 - cfg.beta2, out=f.scratch)
+    # update = (m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p, built in
+    # the gradient buffer, which the moments no longer need
+    denom = np.sqrt(np.divide(f.v, bc2, out=f.scratch), out=f.scratch)
+    denom += ADAM_EPS
+    update = np.divide(f.m, bc1, out=f.g)
+    update /= denom
+    d = f.n_decay
+    update[:d] += np.multiply(f.p[:d], cfg.weight_decay, out=f.scratch[:d])
+    update *= lr
+    f.p -= update
 
 
 # -- loss-curve files ---------------------------------------------------------------

@@ -6,7 +6,9 @@ import numpy as np
 
 from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
+from longctx.numerics import LAYERNORM_EPS, _fwd, _sum_to_shape, _vjp
 from longctx.tokenizer import _CHUNK_RE, Vocab
+from longctx.trainer import ADAM_EPS, decayable
 
 
 def unit_rows(rng, n, d):
@@ -126,3 +128,78 @@ def reference_train_bpe(corpus: list[str], vocab_size: int) -> Vocab:
     token_bytes.extend([b"", b"", b""])
     return Vocab(merges=tuple(merges), token_bytes=tuple(token_bytes),
                  pad_id=pad_id, bos_id=pad_id + 1, eos_id=pad_id + 2)
+
+
+# -- oracles for the training-step kernels ------------------------------------------
+#
+# The straightforward rules the fast kernels in numerics.py and trainer.py
+# replace.  The fast kernels must match them byte for byte.
+
+
+def bits(a) -> np.ndarray:
+    """The array's bytes as unsigned integers, so that -0 differs from +0."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"u{a.itemsize}")
+
+
+def _layer_norm_parts(x):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
+    xhat = (x - mu) * inv
+    return xhat, inv
+
+
+def reference_fwd(node, xs):
+    """``numerics._fwd`` with the layer norm computed out of place."""
+    if node.op == "layer_norm":
+        x, gain, bias = xs
+        xhat, inv = _layer_norm_parts(x)
+        return xhat * gain + bias, (xhat, inv)
+    return _fwd(node, xs)
+
+
+def reference_vjp(node, xs, y, gy, aux):
+    """``numerics._vjp`` with the matmul, layer norm and embedding rules
+    written out plainly: a full matmul, out-of-place arithmetic and a 2-D
+    ``np.add.at``."""
+    op = node.op
+    if op == "matmul":
+        a, b = xs
+        ga = np.matmul(gy, np.swapaxes(b, -1, -2))
+        gb = np.matmul(np.swapaxes(a, -1, -2), gy)
+        return [_sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)]
+    if op == "layer_norm":
+        x, gain, bias = xs
+        xhat, inv = aux
+        dxhat = gy * gain
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dgain = _sum_to_shape(gy * xhat, gain.shape)
+        dbias = _sum_to_shape(gy, bias.shape)
+        return [dx, dgain, dbias]
+    if op == "embedding":
+        table, ids = xs
+        gt = np.zeros_like(table)
+        np.add.at(gt, ids, gy)
+        return [gt, None]
+    return _vjp(node, xs, y, gy, aux)
+
+
+def reference_adamw_update(state, grads, lr, cfg) -> None:
+    """AdamW one parameter at a time; each new parameter is written into
+    place, so ``state.params`` keeps its arrays."""
+    t = state.step + 1
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for k, g in grads.items():
+        m = state.m[k]
+        v = state.v[k]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        if decayable(k):
+            update = update + cfg.weight_decay * state.params[k]
+        state.params[k][...] = state.params[k] - lr * update

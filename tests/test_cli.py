@@ -8,7 +8,12 @@ from helpers import fixture_caption_records
 from longctx import cli
 from longctx.cli import run
 from longctx.data import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
-from longctx.encoders import ImageEncoderConfig, TextEncoderConfig, save_checkpoint
+from longctx.encoders import (
+    ImageEncoderConfig,
+    TextEncoderConfig,
+    init_params,
+    save_checkpoint,
+)
 from longctx.evaluation import recall_pair
 from longctx.longcap import write_caption_records
 from longctx.tokenizer import save_vocab, train_bpe
@@ -47,6 +52,25 @@ def test_tokenize_stats_matches_library_recount(tmp_path, small_corpus_file):
     cfg = read_config(out)
     assert cfg["command"] == "tokenize-stats"
     assert "version" in cfg
+
+
+def test_tokenize_stats_reports_a_short_vocabulary(tmp_path, small_corpus_file, capsys):
+    # the 30 small captions run out of pairs long before 8192 ids
+    out = tmp_path / "short"
+    assert run(["tokenize-stats", "--corpus", str(small_corpus_file),
+                "--vocab-size", "8192", "--out", str(out)]) == 0
+    trained = train_bpe(load_corpus(small_corpus_file).captions(), 8192).size
+    assert trained < 8192
+    fields = dict(line.split("=", 1) for line in (out / "report.txt").read_text().splitlines())
+    assert fields["trained_vocab_size"] == str(trained)
+    assert fields["requested_vocab_size"] == "8192"
+    assert f"trained {trained} of the 8192 ids" in capsys.readouterr().out
+    # a vocabulary that fills writes nothing extra
+    full = tmp_path / "full"
+    assert run(["tokenize-stats", "--corpus", str(small_corpus_file),
+                "--vocab-size", "300", "--out", str(full)]) == 0
+    assert "vocab_size" not in (full / "report.txt").read_text()
+    assert "ids asked for" not in capsys.readouterr().out
 
 
 def test_tokenize_stats_requires_input(tmp_path, capsys):
@@ -248,3 +272,20 @@ def test_corrupt_vocab_is_one_line_diagnostic(tmp_path, small_corpus_file, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{tokens} line 6" in err
+
+
+def test_checkpoint_and_vocab_size_must_agree(tmp_path, small_corpus_file, capsys):
+    captions = load_corpus(small_corpus_file).captions()
+    save_vocab(train_bpe(captions, 287), tmp_path / "small")
+    text_cfg = TextEncoderConfig(context_length=16, vocab_size=train_bpe(captions, 300).size,
+                                 embed_dim=16, num_layers=1, num_heads=2, output_dim=8)
+    img_cfg = ImageEncoderConfig(input_dim=8, hidden_dim=16, output_dim=8)
+    ckpt = tmp_path / "ckpt.npz"
+    save_checkpoint(ckpt, text_cfg, img_cfg, init_params(text_cfg, img_cfg, seed=0), 2.0)
+    code = run(["eval-retrieval", "--checkpoint", str(ckpt), "--vocab", str(tmp_path / "small"),
+                "--corpus", str(small_corpus_file), "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(ckpt) in err and str(tmp_path / "small") in err
+    assert "has 287 ids" in err and "trained on 300" in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from longctx.encoders import (
     save_checkpoint,
     text_encode,
 )
-from longctx.errors import UsageError
+from longctx.errors import DataError, UsageError
 from longctx.numerics import Graph, backward, finite_difference_grad, forward
 from longctx.encoders import build_image_tower, build_text_tower
 from longctx.tokenizer import TokenSeq, encode, train_bpe
@@ -221,6 +223,38 @@ def test_checkpoint_round_trip(tmp_path, params):
     assert loaded.keys() == params.keys()
     for k in params:
         np.testing.assert_array_equal(loaded[k], params[k])
+
+
+def _edit_header(path, edit):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("text_cfg"),
+    lambda m: m.pop("img_cfg"),
+    lambda m: m.pop("log_scale"),
+    lambda m: m.update(log_scale="big"),
+    lambda m: m.update(text_cfg=[16, 300]),
+    lambda m: m["text_cfg"].update(colour=3),
+    lambda m: m["text_cfg"].pop("embed_dim"),
+    lambda m: m["text_cfg"].update(embed_dim="16"),
+    lambda m: m["text_cfg"].update(num_heads=0),
+    lambda m: m["text_cfg"].update(num_heads=3),
+    lambda m: m["img_cfg"].update(hidden_dim=10.5),
+], ids=["no-text-cfg", "no-img-cfg", "no-log-scale", "str-log-scale", "list-cfg",
+        "unknown-key", "missing-key", "str-value", "zero-heads", "indivisible-heads",
+        "float-value"])
+def test_bad_checkpoint_header_is_data_error(tmp_path, params, edit):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5)
+    _edit_header(path, edit)
+    with pytest.raises(DataError, match="model.npz"):
+        load_checkpoint(path)
 
 
 def test_trained_model_encodes_both_modalities(vocab, params):

@@ -1,14 +1,21 @@
+import sys
+import threading
+
 import pytest
+import requests
 
 from helpers import fixture_caption_records
 from longctx.errors import DataError, UsageError
+from longctx import longcap
 from longctx.longcap import (
     BackendError,
     CaptionRecord,
     FeasibilityReport,
     FeatureJudgment,
+    HttpBackend,
     MockBackend,
     ParseFailure,
+    RequestLog,
     assess_feasibility,
     augment_caption,
     expand_acronyms,
@@ -361,3 +368,82 @@ def test_split_atomic_features():
 def test_caption_record_requires_caption():
     with pytest.raises(UsageError):
         CaptionRecord(id="x", image_ref="i", caption="")
+
+
+# -- HTTP backend retries -----------------------------------------------------------
+
+
+def _reply(status, text="generated"):
+    resp = requests.Response()
+    resp.status_code = status
+    resp._content = text.encode()
+    resp.url = "http://backend.test/generate"
+    return resp
+
+
+@pytest.fixture
+def scripted_http(monkeypatch):
+    """Scripts ``requests.post`` replies and records the backoff sleeps;
+    no request leaves the process."""
+    script, sleeps = [], []
+
+    def post(url, **kwargs):
+        item = script.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    monkeypatch.setattr(longcap.requests, "post", post)
+    monkeypatch.setattr(longcap.time, "sleep", sleeps.append)
+    return script, sleeps
+
+
+def test_http_4xx_fails_at_once(scripted_http):
+    script, sleeps = scripted_http
+    script += [_reply(404), _reply(200)]
+    backend = HttpBackend("http://backend.test/generate")
+    with pytest.raises(BackendError, match="404") as info:
+        backend.generate("TASK: augment")
+    assert info.value.attempts == 1
+    assert sleeps == [] and len(script) == 1
+    assert backend.requests == ["TASK: augment"]
+
+
+def test_http_5xx_and_connection_errors_are_retried(scripted_http):
+    script, sleeps = scripted_http
+    script += [_reply(503), requests.ConnectionError("reset"), _reply(200, "ok")]
+    backend = HttpBackend("http://backend.test/generate")
+    assert backend.generate("p") == "ok"
+    assert sleeps == [0.5, 1.0] and script == []
+
+
+def test_http_backoff_is_capped_and_attempts_reported(scripted_http):
+    script, sleeps = scripted_http
+    script += [requests.Timeout("slow")] * 7
+    backend = HttpBackend("http://backend.test/generate", transport_attempts=7)
+    with pytest.raises(BackendError, match="after 7 attempts") as info:
+        backend.generate("p")
+    assert info.value.attempts == 7
+    assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
+
+
+def test_http_needs_one_attempt():
+    with pytest.raises(UsageError):
+        HttpBackend("http://backend.test/generate", transport_attempts=0)
+
+
+def test_request_log_keeps_every_prompt_across_threads():
+    log = RequestLog()
+    threads = [threading.Thread(target=lambda i=i: [log._log(f"{i}:{n}") for n in range(2000)])
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(log.requests) == sorted(f"{i}:{n}" for i in range(8) for n in range(2000))

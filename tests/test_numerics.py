@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bits, reference_fwd, reference_vjp
 from longctx.errors import NumericError, ShapeError, UsageError
 from longctx.numerics import (
     Graph,
+    _fwd,
+    _vjp,
     backward,
     evaluate,
     finite_difference_grad,
@@ -331,3 +334,99 @@ def test_graph_rejects_foreign_nodes():
     x1 = g1.input("x")
     with pytest.raises(UsageError, match="another graph"):
         g2.gelu(x1)
+
+
+# -- fast kernels against their oracles, byte for byte ----------------------------
+
+
+def _node(op, n_inputs):
+    g = Graph()
+    return getattr(g, op)(*[g.input(f"x{i}") for i in range(n_inputs)])
+
+
+def _values(rng, shape, dtype, zero_share):
+    """Signed values over seven decades, so that a change in summation
+    order shows in the low bits, with a share of exact zeros."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    x[rng.random(size=shape) < zero_share] = 0.0
+    return x.astype(dtype)
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g.shape == w.shape and g.dtype == w.dtype
+        np.testing.assert_array_equal(bits(g), bits(w))
+
+
+_dtypes = st.sampled_from([np.float32, np.float64])
+
+
+@st.composite
+def _batch_shapes(draw):
+    """Two leading-batch shapes that broadcast against each other."""
+    full = draw(st.lists(st.integers(1, 3), max_size=2))
+    def part():
+        dims = [d if draw(st.booleans()) else 1 for d in full]
+        return tuple(dims[draw(st.integers(0, len(dims))):])
+    return part(), part()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batch_shapes(), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+       _dtypes, st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+def test_matmul_vjp_matches_oracle(batches, m, k, n, dtype, zero_share, seed):
+    # m == 1 is the outer-product path; zeros in a against negative gy give
+    # -0 products, which the matmul oracle turns into +0
+    rng = np.random.default_rng(seed)
+    a = _values(rng, batches[0] + (m, k), dtype, zero_share)
+    b = _values(rng, batches[1] + (k, n), dtype, zero_share)
+    gy = _values(rng, np.broadcast_shapes(batches[0], batches[1]) + (m, n), dtype, 0.0)
+    node = _node("matmul", 2)
+    _assert_same_bytes(_vjp(node, [a, b], None, gy, None),
+                       reference_vjp(node, [a, b], None, gy, None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=3), st.integers(1, 40),
+       st.sampled_from(["row", "one", "full"]), _dtypes, st.integers(0, 2**32 - 1))
+def test_layer_norm_matches_oracle(batch, d, gain_shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch) + (d,)
+    x = _values(rng, shape, dtype, 0.1)
+    pshape = {"row": (d,), "one": (1,), "full": shape}[gain_shape]
+    gain = _values(rng, pshape, dtype, 0.1)
+    bias = _values(rng, pshape, dtype, 0.1)
+    gy = _values(rng, shape, dtype, 0.1)
+    node = _node("layer_norm", 3)
+    y, aux = _fwd(node, [x, gain, bias])
+    want_y, want_aux = reference_fwd(node, [x, gain, bias])
+    _assert_same_bytes([y, *aux], [want_y, *want_aux])
+    _assert_same_bytes(_vjp(node, [x, gain, bias], y, gy, aux),
+                       reference_vjp(node, [x, gain, bias], y, gy, aux))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       _dtypes, st.integers(0, 2**32 - 1))
+def test_embedding_vjp_matches_oracle(rows, d, ids_shape, dtype, seed):
+    # few rows and many positions: each row collects many values, whose
+    # sum depends on the order they are added in
+    rng = np.random.default_rng(seed)
+    table = _values(rng, (rows, d), dtype, 0.0)
+    ids = rng.integers(0, rows, size=tuple(ids_shape))
+    gy = _values(rng, tuple(ids_shape) + (d,), dtype, 0.1)
+    node = _node("embedding", 2)
+    _assert_same_bytes(_vjp(node, [table, ids], None, gy, None),
+                       reference_vjp(node, [table, ids], None, gy, None))
+
+
+def test_layer_norm_gain_must_broadcast_to_input():
+    g = Graph()
+    x, gain, bias = g.input("x"), g.input("gain"), g.input("bias")
+    g.output(g.layer_norm(x, gain, bias), "y")
+    with pytest.raises(ShapeError, match="broadcastable to input"):
+        evaluate(g, {"x": np.ones(3), "gain": np.ones((2, 3)), "bias": np.zeros(3)})

@@ -1,15 +1,25 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import contrastive_loss
+from helpers import (
+    bits,
+    contrastive_loss,
+    reference_adamw_update,
+    reference_fwd,
+    reference_vjp,
+)
+from longctx import cli, numerics, trainer
 from longctx.data import SyntheticSpec, generate_synthetic
 from longctx.encoders import ImageEncoderConfig, TextEncoderConfig
 from longctx.errors import NumericError, UsageError
 from longctx.numerics import backward, finite_difference_grad, forward
+from longctx.tokenizer import train_bpe
 from longctx.trainer import (
     TrainConfig,
+    TrainState,
     clip_gradients,
     decayable,
     effective_warmup,
@@ -18,6 +28,7 @@ from longctx.trainer import (
     steps_to_loss,
     train,
     write_loss_curve,
+    _adamw_update,
     _build_train_graph,
 )
 
@@ -262,3 +273,84 @@ def test_invalid_train_configs():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(UsageError):
         TrainConfig(grad_clip_norm=-1.0)
+
+
+# -- the fast training step against its oracles, byte for byte ----------------------
+
+
+def _digest_run(mp, context, dtype) -> str:
+    """sha256 over every node gradient and clipped-gradient input of every
+    step, and over the final parameters and moments, of a six-step run on
+    the ``ablate`` profile."""
+    spec = SyntheticSpec(num_classes=4, samples_per_class=24, image_dim=16, seed=3)
+    corpus, _ = generate_synthetic(spec)
+    cfg = {key: default for key, (_, default, _) in cli.SCHEMAS["ablate"].items()}
+    cfg.update(max_epochs=2, dtype=dtype)
+    vocab = train_bpe(corpus.captions(), 400)
+    text_cfg, img_cfg = cli._encoder_configs(cfg, context, vocab.size, corpus.image_dim)
+    h = hashlib.sha256()
+    rule, clip = numerics._vjp, trainer.clip_gradients
+
+    def hashed_vjp(node, xs, y, gy, aux):
+        parts = rule(node, xs, y, gy, aux)
+        for part in parts:
+            if part is not None:
+                h.update(bits(part).tobytes())
+        return parts
+
+    def hashed_clip(grads, max_norm):
+        for g in grads.values():
+            h.update(bits(g).tobytes())
+        return clip(grads, max_norm)
+
+    mp.setattr(numerics, "_vjp", hashed_vjp)
+    mp.setattr(trainer, "clip_gradients", hashed_clip)
+    result = train(cli._train_config(cfg, context, 0), corpus,
+                   text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
+    assert len(result.curve) == 6
+    for arrays in (result.state.params, result.state.m, result.state.v):
+        for a in arrays.values():
+            h.update(bits(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("context", [77, 512])
+def test_training_step_matches_oracle_bytes(monkeypatch, context, dtype):
+    with monkeypatch.context() as mp:
+        fast = _digest_run(mp, context, dtype)
+    with monkeypatch.context() as mp:
+        mp.setattr(numerics, "_fwd", reference_fwd)
+        mp.setattr(numerics, "_vjp", reference_vjp)
+        mp.setattr(trainer, "_adamw_update", reference_adamw_update)
+        oracle = _digest_run(mp, context, dtype)
+    assert fast == oracle
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.2])
+def test_adamw_update_matches_oracle_bytes(dtype, weight_decay):
+    # decayable and other parameters interleaved, a 0-d log_scale among them,
+    # and gradients with exact (signed) zeros
+    rng = np.random.default_rng(7)
+    shapes = {"txt.tok_emb": (5, 3), "txt.l0.ln1.g": (3,), "txt.l0.wq": (3, 3),
+              "log_scale": (), "txt.pos_emb": (4, 3), "img.l0.w": (2, 3),
+              "img.l0.b": (3,)}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    fast = TrainState.start(params, 0.0)
+    oracle = TrainState.start(params, 0.0)
+    cfg = TrainConfig(weight_decay=weight_decay)
+    for step in range(5):
+        grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        for g in grads.values():
+            g[rng.random(size=g.shape) < 0.2] = 0.0
+            g[rng.random(size=g.shape) < 0.1] = -0.0
+        fast.step = oracle.step = step
+        _adamw_update(fast, grads, 1e-2, cfg)
+        reference_adamw_update(oracle, grads, 1e-2, cfg)
+        for name in ("params", "m", "v"):
+            got, want = getattr(fast, name), getattr(oracle, name)
+            assert list(got) == list(shapes)
+            for k in shapes:
+                np.testing.assert_array_equal(bits(got[k]), bits(want[k]), err_msg=k)
+        assert all(np.shares_memory(fast.params[k], fast.flat.p) for k in shapes)
