@@ -39,6 +39,7 @@ from .encoders import (
     ImageEncoderConfig,
     TextEncoderConfig,
     TrainedModel,
+    checkpoint_vocab_fingerprint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -55,6 +56,7 @@ from .evaluation import (
     zero_shot_classify,
 )
 from .longcap import (
+    MockBackend,
     make_backend,
     read_caption_records,
     run_pipeline,
@@ -67,6 +69,7 @@ from .tokenizer import (
     load_vocab,
     save_vocab,
     train_bpe,
+    vocab_fingerprint,
     waste_report_csv_row,
 )
 from .trainer import (
@@ -160,7 +163,8 @@ SCHEMAS = {
     "longcap": {
         "records": (str, "", "caption records (jsonl)"),
         "backend": (str, "mock", "'mock' or an HTTP endpoint"),
-        "workers": (int, 4, "max in-flight records"),
+        "workers": (int, None, "max in-flight records (default: 1 for the mock "
+                               "backend, 4 for HTTP; a flag, config or env value wins)"),
         "resume": (str, "", "journal file to resume from (default: out/journal.jsonl)"),
         "seed": (int, 0, "mock backend seed"),
         "out": (str, "", "output directory"),
@@ -194,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(command)
         sub.add_argument("--config", default=None, help="flat key=value config file")
         for key, (typ, default, help_text) in schema.items():
+            shown = "" if default is None else f" (default: {default})"
             sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
-                             default=None, help=f"{help_text} (default: {default})")
+                             default=None, help=help_text + shown)
     return parser
 
 
@@ -367,7 +372,7 @@ def cmd_train(cfg: dict) -> int:
     result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
     save_vocab(vocab, out / "vocab")
     save_checkpoint(out / "checkpoint.npz", text_cfg, img_cfg,
-                    result.model.params, result.model.log_scale)
+                    result.model.params, result.model.log_scale, vocab=vocab)
     write_loss_curve(result.curve, out / "losscurve.csv")
     final = result.curve[-1].loss if result.curve else float("nan")
     print(f"trained {len(result.curve)} steps, final loss {final:.4f} -> {out}")
@@ -381,6 +386,10 @@ def _load_model(cfg: dict) -> TrainedModel:
     if vocab.size != text_cfg.vocab_size:
         raise DataError(f"vocabulary {vocab_dir} has {vocab.size} ids but checkpoint "
                         f"{checkpoint} was trained on {text_cfg.vocab_size}")
+    recorded, actual = checkpoint_vocab_fingerprint(checkpoint), vocab_fingerprint(vocab)
+    if recorded is not None and recorded != actual:
+        raise DataError(f"vocabulary {vocab_dir} (sha256 {actual[:12]}) is not the one "
+                        f"checkpoint {checkpoint} was trained on (sha256 {recorded[:12]})")
     return TrainedModel(text_cfg=text_cfg, img_cfg=img_cfg, params=params,
                         vocab=vocab, log_scale=log_scale,
                         dtype=str(params["txt.tok_emb"].dtype))
@@ -433,6 +442,10 @@ def cmd_eval_zeroshot(cfg: dict) -> int:
 def cmd_longcap(cfg: dict) -> int:
     records = read_caption_records(_require_input(cfg, "records"))
     backend = make_backend(cfg["backend"], seed=cfg["seed"])
+    if cfg["workers"] is None:
+        # the in-process mock is CPU-bound: extra threads only contend for
+        # the interpreter lock, while HTTP calls overlap their waiting
+        cfg["workers"] = 1 if isinstance(backend, MockBackend) else 4
     out = prepare_out_dir("longcap", cfg)
     journal = Path(cfg["resume"]) if cfg["resume"] else out / "journal.jsonl"
     corpus = run_pipeline(records, backend, journal_path=journal,

@@ -14,6 +14,7 @@ masked positions still get exactly zero probability after softmax.
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import asdict, dataclass, fields
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .numerics import Graph, forward
-from .tokenizer import TokenSeq, Vocab, encode
+from .tokenizer import TokenSeq, Vocab, encode, vocab_fingerprint
 
 MASK_VALUE = -1e9
 INIT_STD = 0.02
@@ -121,7 +122,16 @@ def build_text_tower(g: Graph, cfg: TextEncoderConfig, batch: int, seq_len: int)
 
     Only the EOS position of the last block reaches the pooled output, so
     that block computes its query, residual and feed-forward for the EOS
-    row alone; keys and values still span every position.
+    row alone, and folds its key and value projections into that one query
+    (weight absorption).  Per head h, with ``a`` the block's ln1 rows:
+
+        scores = (q_h Wk_hᵀ) · aᵀ        u = softmax(scores + mask) · a
+        ctx_h  = u Wv_h + bv_h
+
+    which equals attention over k = a Wk + bk, v = a Wv + bv in exact
+    arithmetic: each attention row sums to 1, and q_h · bk_h is the same for
+    every key, which softmax ignores.  So the last block's ``bk`` is bound
+    but never read, and its gradient is exactly 0.
     """
     d, heads = cfg.embed_dim, cfg.num_heads
     dh = d // heads
@@ -133,30 +143,34 @@ def build_text_tower(g: Graph, cfg: TextEncoderConfig, batch: int, seq_len: int)
     h = g.add(g.embedding(tok, ids), g.slice_rows(pos, seq_len))
     for i in range(cfg.num_layers):
         p = f"txt.l{i}"
-        last = i == cfg.num_layers - 1
-        rows = 1 if last else seq_len
         a = g.layer_norm(h, g.input(f"{p}.ln1.g"), g.input(f"{p}.ln1.b"))
-
-        def heads_of(x, n):
-            return g.transpose(g.reshape(x, (batch, n, heads, dh)), (0, 2, 1, 3))
 
         def proj(x, w):
             return g.add(g.matmul(x, g.input(f"{p}.w{w}")), g.input(f"{p}.b{w}"))
 
-        if last:
-            h = g.gather_rows(h, eos_idx)
-            q_in = g.gather_rows(a, eos_idx)
+        if i < cfg.num_layers - 1:
+            q, k, v = (g.transpose(g.reshape(proj(a, w), (batch, seq_len, heads, dh)),
+                                   (0, 2, 1, 3)) for w in "qkv")
+            # prescale q so the [B,H,L,L] score tensor needs no extra pass
+            scores = g.matmul(g.scale(q, 1.0 / np.sqrt(dh)),
+                              g.transpose(k, (0, 1, 3, 2)), name=f"{p}.scores")
+            att = g.softmax(g.add(scores, mask))
+            ctx = g.reshape(g.transpose(g.matmul(att, v), (0, 2, 1, 3)), (batch, seq_len, d))
         else:
-            q_in = a
-        q = heads_of(proj(q_in, "q"), rows)
-        k = heads_of(proj(a, "k"), seq_len)
-        v = heads_of(proj(a, "v"), seq_len)
-        # prescale q so the [B,H,rows,L] score tensor needs no extra pass
-        scores = g.matmul(g.scale(q, 1.0 / np.sqrt(dh)),
-                          g.transpose(k, (0, 1, 3, 2)), name=f"{p}.scores")
-        att = g.softmax(g.add(scores, mask))
-        ctx = g.transpose(g.matmul(att, v), (0, 2, 1, 3))
-        ctx = g.reshape(ctx, (batch, d) if last else (batch, seq_len, d))
+            g.input(f"{p}.bk")
+            h = g.gather_rows(h, eos_idx)
+            q = g.scale(proj(g.gather_rows(a, eos_idx), "q"), 1.0 / np.sqrt(dh))
+            # Wk and Wv split by output column into heads; with q as [H,B,dh]
+            # the two per-position products are plain [B,H,*] GEMMs
+            q_heads = g.transpose(g.reshape(q, (batch, heads, dh)), (1, 0, 2))
+            wk = g.transpose(g.reshape(g.input(f"{p}.wk"), (d, heads, dh)), (1, 2, 0))
+            qk = g.transpose(g.matmul(q_heads, wk), (1, 0, 2))               # [B,H,d]
+            scores = g.matmul(qk, g.transpose(a, (0, 2, 1)), name=f"{p}.scores")
+            att = g.softmax(g.add(scores, g.reshape(mask, (batch, 1, seq_len))))
+            u = g.transpose(g.matmul(att, a), (1, 0, 2))                     # [H,B,d]
+            wv = g.transpose(g.reshape(g.input(f"{p}.wv"), (d, heads, dh)), (1, 0, 2))
+            ctx = g.transpose(g.matmul(u, wv), (1, 0, 2))                    # [B,H,dh]
+            ctx = g.add(g.reshape(ctx, (batch, d)), g.input(f"{p}.bv"))
         h = g.add(h, proj(ctx, "o"))
         m = g.layer_norm(h, g.input(f"{p}.ln2.g"), g.input(f"{p}.ln2.b"))
         ff = g.matmul(g.gelu(proj(m, "1")), g.input(f"{p}.w2"))
@@ -290,8 +304,9 @@ class TrainedModel:
 
 
 def save_checkpoint(path, text_cfg: TextEncoderConfig, img_cfg: ImageEncoderConfig,
-                    params: dict, log_scale: float) -> None:
-    """Single-file npz container with a versioned JSON header."""
+                    params: dict, log_scale: float, vocab: Vocab | None = None) -> None:
+    """Single-file npz container with a versioned JSON header.  With
+    ``vocab``, the header also records its ``vocab_fingerprint``."""
     meta = {
         "format": "longctx-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -299,12 +314,15 @@ def save_checkpoint(path, text_cfg: TextEncoderConfig, img_cfg: ImageEncoderConf
         "img_cfg": asdict(img_cfg),
         "log_scale": float(log_scale),
     }
+    if vocab is not None:
+        meta["vocab_sha256"] = vocab_fingerprint(vocab)
     arrays = {f"param/{k}": v for k, v in params.items()}
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path):
+def _read_checkpoint(path, with_params: bool):
+    """The checked JSON header and, if asked for, the parameters."""
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
@@ -313,14 +331,29 @@ def load_checkpoint(path):
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
             params = {k[len("param/"):]: data[k] for k in data.files
-                      if k.startswith("param/")}
+                      if with_params and k.startswith("param/")}
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
+    return meta, params
+
+
+def load_checkpoint(path):
+    meta, params = _read_checkpoint(path, with_params=True)
     log_scale = meta.get("log_scale")
     if type(log_scale) not in (int, float):
         raise DataError(f"checkpoint {path}: bad or missing log_scale in the header")
     return (_header_config(TextEncoderConfig, meta, "text_cfg", path),
             _header_config(ImageEncoderConfig, meta, "img_cfg", path), params, log_scale)
+
+
+def checkpoint_vocab_fingerprint(path) -> str | None:
+    """The ``vocab_fingerprint`` a checkpoint header records, or None for a
+    header written without one (every checkpoint saved without ``vocab``)."""
+    value = _read_checkpoint(path, with_params=False)[0].get("vocab_sha256")
+    if value is not None and not (isinstance(value, str)
+                                  and re.fullmatch("[0-9a-f]{64}", value)):
+        raise DataError(f"checkpoint {path}: bad vocab_sha256 in the header: {value!r}")
+    return value
 
 
 def _header_config(cls, meta: dict, key: str, path):

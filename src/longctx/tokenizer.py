@@ -13,6 +13,7 @@ waste statistics compare content lengths against the cutoff directly.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import re
 from dataclasses import dataclass
@@ -289,17 +290,34 @@ def waste_report_csv_row(report: TokenWasteReport) -> str:
 # -- vocabulary files -----------------------------------------------------------
 
 
-def save_vocab(vocab: Vocab, directory) -> None:
-    """Write the token table and the ordered merge list as plain text."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def _vocab_texts(vocab: Vocab) -> tuple[str, str]:
+    """The contents of ``tokens.txt`` and ``merges.txt``."""
     lines = [f"version {VOCAB_FORMAT_VERSION}",
              f"pad {vocab.pad_id}", f"bos {vocab.bos_id}", f"eos {vocab.eos_id}"]
     for i, b in enumerate(vocab.token_bytes):
         lines.append(f"{i} {b.hex()}")
-    (directory / "tokens.txt").write_text("\n".join(lines) + "\n")
     merge_lines = [f"{a} {b}" for a, b in vocab.merges]
-    (directory / "merges.txt").write_text("\n".join(merge_lines) + ("\n" if merge_lines else ""))
+    return ("\n".join(lines) + "\n",
+            "\n".join(merge_lines) + ("\n" if merge_lines else ""))
+
+
+def save_vocab(vocab: Vocab, directory) -> None:
+    """Write the token table and the ordered merge list as plain text."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    tokens, merges = _vocab_texts(vocab)
+    (directory / "tokens.txt").write_text(tokens)
+    (directory / "merges.txt").write_text(merges)
+
+
+def vocab_fingerprint(vocab: Vocab) -> str:
+    """sha256 (hex) over the token table and the merges, as ``save_vocab``
+    writes them: equal fingerprints mean equal tables and merges."""
+    h = hashlib.sha256()
+    for text in _vocab_texts(vocab):
+        h.update(text.encode())
+        h.update(b"\0")
+    return h.hexdigest()
 
 
 def load_vocab(directory) -> Vocab:

@@ -97,6 +97,7 @@ class TrainState:
     params: dict    # views into flat.p
     m: dict         # views into flat.m
     v: dict         # views into flat.v
+    grads: dict     # views into flat.g
     step: int
     log_scale: float
     flat: FlatBuffers
@@ -106,7 +107,8 @@ class TrainState:
         """Step 0: the parameters copied into new flat buffers, zero moments."""
         flat = FlatBuffers(params)
         return cls(params=flat.views(flat.p), m=flat.views(flat.m),
-                   v=flat.views(flat.v), step=0, log_scale=log_scale, flat=flat)
+                   v=flat.views(flat.v), grads=flat.views(flat.g), step=0,
+                   log_scale=log_scale, flat=flat)
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,8 @@ def lr_schedule(step: int, cfg: TrainConfig, total_steps: int) -> float:
 
 
 def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
-    """Rescale all gradients so the global L2 norm is at most ``max_norm``."""
+    """Rescale all gradients, in place, so the global L2 norm is at most
+    ``max_norm``; returns ``grads`` and the norm before clipping."""
     if max_norm <= 0:
         raise UsageError("max_norm must be positive")
     total = 0.0
@@ -160,7 +163,9 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
     if norm <= max_norm:
         return grads, norm
     factor = max_norm / norm
-    return {k: g * factor for k, g in grads.items()}, norm
+    for g in grads.values():
+        g *= factor
+    return grads, norm
 
 
 def decayable(name: str) -> bool:
@@ -247,11 +252,10 @@ def train(cfg: TrainConfig, corpus: PairedCorpus,
             loss = float(tape.outputs["loss"])
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {state.step}")
-            grads = backward(tape, output="loss")
-            grads = {k: grads[k] for k in state.params}
-            grads, _ = clip_gradients(grads, cfg.grad_clip_norm)
+            state.flat.gather(backward(tape, output="loss"), state.flat.g)
+            clip_gradients(state.grads, cfg.grad_clip_norm)
             lr = lr_schedule(state.step, cfg, total_steps)
-            _adamw_update(state, grads, lr, cfg)
+            _adamw_update(state, state.grads, lr, cfg)
             state.log_scale = min(float(state.params["log_scale"]), cfg.log_scale_max)
             state.params["log_scale"][...] = state.log_scale
             curve.append(LossPoint(step=state.step, loss=loss, lr=lr,
@@ -269,12 +273,15 @@ def _round_up(n: int, multiple: int, cap: int) -> int:
 
 
 def _adamw_update(state: TrainState, grads: dict, lr: float, cfg: TrainConfig) -> None:
-    """Decoupled-weight-decay Adam over the flat buffers, in place."""
+    """Decoupled-weight-decay Adam over the flat buffers, in place.  The
+    gradients are copied into ``flat.g`` unless they are its views already
+    (``state.grads``); the update then uses that buffer as scratch."""
     f = state.flat
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    f.gather(grads, f.g)
+    if grads is not state.grads:
+        f.gather(grads, f.g)
     f.m *= cfg.beta1
     f.m += np.multiply(f.g, 1.0 - cfg.beta1, out=f.scratch)
     f.v *= cfg.beta2

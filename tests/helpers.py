@@ -203,3 +203,56 @@ def reference_adamw_update(state, grads, lr, cfg) -> None:
         if decayable(k):
             update = update + cfg.weight_decay * state.params[k]
         state.params[k][...] = state.params[k] - lr * update
+
+
+# -- oracle for the folded last text block ------------------------------------------
+
+
+def eos_row_text_tower(g, cfg, batch, seq_len):
+    """Oracle for ``encoders.build_text_tower``: the same tower with the last
+    block's keys and values projected at every position.
+
+    Only the EOS position of the last block reaches the pooled output, so
+    that block computes its query, residual and feed-forward for the EOS
+    row alone; keys and values still span every position.
+    """
+    d, heads = cfg.embed_dim, cfg.num_heads
+    dh = d // heads
+    ids = g.input("ids")
+    mask = g.input("mask")
+    eos_idx = g.input("eos_idx")
+    tok = g.input("txt.tok_emb")
+    pos = g.input("txt.pos_emb")
+    h = g.add(g.embedding(tok, ids), g.slice_rows(pos, seq_len))
+    for i in range(cfg.num_layers):
+        p = f"txt.l{i}"
+        last = i == cfg.num_layers - 1
+        rows = 1 if last else seq_len
+        a = g.layer_norm(h, g.input(f"{p}.ln1.g"), g.input(f"{p}.ln1.b"))
+
+        def heads_of(x, n):
+            return g.transpose(g.reshape(x, (batch, n, heads, dh)), (0, 2, 1, 3))
+
+        def proj(x, w):
+            return g.add(g.matmul(x, g.input(f"{p}.w{w}")), g.input(f"{p}.b{w}"))
+
+        if last:
+            h = g.gather_rows(h, eos_idx)
+            q_in = g.gather_rows(a, eos_idx)
+        else:
+            q_in = a
+        q = heads_of(proj(q_in, "q"), rows)
+        k = heads_of(proj(a, "k"), seq_len)
+        v = heads_of(proj(a, "v"), seq_len)
+        # prescale q so the [B,H,rows,L] score tensor needs no extra pass
+        scores = g.matmul(g.scale(q, 1.0 / np.sqrt(dh)),
+                          g.transpose(k, (0, 1, 3, 2)), name=f"{p}.scores")
+        att = g.softmax(g.add(scores, mask))
+        ctx = g.transpose(g.matmul(att, v), (0, 2, 1, 3))
+        ctx = g.reshape(ctx, (batch, d) if last else (batch, seq_len, d))
+        h = g.add(h, proj(ctx, "o"))
+        m = g.layer_norm(h, g.input(f"{p}.ln2.g"), g.input(f"{p}.ln2.b"))
+        ff = g.matmul(g.gelu(proj(m, "1")), g.input(f"{p}.w2"))
+        h = g.add(h, g.add(ff, g.input(f"{p}.b2")))
+    pooled = g.layer_norm(h, g.input("txt.lnf.g"), g.input("txt.lnf.b"))
+    return g.l2_normalize(g.matmul(pooled, g.input("txt.proj")), name="z_txt")

@@ -14,9 +14,10 @@ from longctx.encoders import (
     init_params,
     save_checkpoint,
 )
+from longctx.errors import DataError
 from longctx.evaluation import recall_pair
 from longctx.longcap import write_caption_records
-from longctx.tokenizer import save_vocab, train_bpe
+from longctx.tokenizer import load_vocab, save_vocab, train_bpe
 from longctx.trainer import TrainConfig, train
 
 
@@ -289,3 +290,48 @@ def test_checkpoint_and_vocab_size_must_agree(tmp_path, small_corpus_file, capsy
     assert err.count("\n") == 1
     assert str(ckpt) in err and str(tmp_path / "small") in err
     assert "has 287 ids" in err and "trained on 300" in err
+
+
+def test_checkpoint_and_vocab_fingerprint_must_agree(tmp_path, small_corpus_file, capsys):
+    # same size, different merges: only the header fingerprint tells them apart
+    out = tmp_path / "run"
+    assert run(["train", "--corpus", str(small_corpus_file), "--context-length", "16",
+                "--batch-size", "10", "--max-epochs", "1", "--vocab-size", "300",
+                "--embed-dim", "16", "--num-layers", "1", "--num-heads", "2",
+                "--output-dim", "8", "--hidden-dim", "16", "--out", str(out)]) == 0
+    other = train_bpe([r.caption + " " + r.abstract for r in fixture_caption_records()], 300)
+    assert other.size == 300 == load_vocab(out / "vocab").size
+    save_vocab(other, tmp_path / "other")
+    ckpt = out / "checkpoint.npz"
+    code = run(["eval-retrieval", "--checkpoint", str(ckpt), "--vocab", str(tmp_path / "other"),
+                "--corpus", str(small_corpus_file), "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(ckpt) in err and str(tmp_path / "other") in err and "sha256" in err
+
+
+@pytest.mark.parametrize("backend, args, env, expected", [
+    ("mock", [], {}, 1),
+    ("http://localhost:9/generate", [], {}, 4),
+    ("mock", ["--workers", "3"], {}, 3),
+    ("http://localhost:9/generate", [], {"LONGCTX_WORKERS": "2"}, 2),
+])
+def test_longcap_workers_default_follows_backend(tmp_path, monkeypatch, backend, args,
+                                                 env, expected):
+    records_path = tmp_path / "records.jsonl"
+    write_caption_records(fixture_caption_records(), records_path)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    seen = []
+
+    def stop(records, backend, journal_path, max_workers):
+        seen.append(max_workers)
+        raise DataError("stopped before any backend call")
+
+    monkeypatch.setattr(cli, "run_pipeline", stop)
+    out = tmp_path / "lc"
+    assert run(["longcap", "--records", str(records_path), "--backend", backend,
+                *args, "--out", str(out)]) == 1
+    assert seen == [expected]
+    assert read_config(out)["workers"] == str(expected)

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from helpers import bits, eos_row_text_tower
 from longctx.encoders import (
     ImageEncoderConfig,
     TextEncoderConfig,
     TrainedModel,
     attention_mask,
+    checkpoint_vocab_fingerprint,
     image_encode,
     init_params,
     load_checkpoint,
@@ -18,7 +20,7 @@ from longctx.encoders import (
 from longctx.errors import DataError, UsageError
 from longctx.numerics import Graph, backward, finite_difference_grad, forward
 from longctx.encoders import build_image_tower, build_text_tower
-from longctx.tokenizer import TokenSeq, encode, train_bpe
+from longctx.tokenizer import TokenSeq, encode, train_bpe, vocab_fingerprint
 
 TEXT_CFG = TextEncoderConfig(context_length=16, vocab_size=300, embed_dim=16,
                              num_layers=2, num_heads=2, output_dim=8)
@@ -194,6 +196,53 @@ def test_text_tower_matches_full_position_reference(num_layers):
                                    err_msg=name)
 
 
+def _tower_case(num_layers):
+    """A float64 text-tower problem: config, bindings and an output seed."""
+    cfg = TextEncoderConfig(context_length=12, vocab_size=40, embed_dim=16,
+                            num_layers=num_layers, num_heads=2, output_dim=8)
+    batch, seq_len = 5, 10
+    rng = np.random.default_rng(10 + num_layers)
+    params = {k: v + rng.normal(0.0, 0.3, size=v.shape)
+              for k, v in init_params(cfg, IMG_CFG, seed=4).items()
+              if k.startswith("txt.")}
+    visible = rng.integers(2, seq_len + 1, size=batch)
+    bindings = dict(params, ids=rng.integers(0, 40, size=(batch, seq_len)),
+                    mask=attention_mask(visible, seq_len), eos_idx=visible - 1)
+    return cfg, batch, seq_len, bindings, rng.normal(size=(batch, cfg.output_dim))
+
+
+def _run_tower(build, cfg, batch, seq_len, bindings, seed):
+    g = Graph()
+    g.output(build(g, cfg, batch, seq_len))
+    tape = forward(g, bindings)
+    return tape.outputs["z_txt"], backward(tape, seed=seed)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_folded_last_block_matches_eos_row_oracle(num_layers):
+    # folding Wk into the query and applying Wv after the attention average
+    # is exact in real arithmetic; float64 results agree to rounding
+    cfg, batch, seq_len, bindings, seed = _tower_case(num_layers)
+    z, grads = _run_tower(build_text_tower, cfg, batch, seq_len, bindings, seed)
+    z_ref, grads_ref = _run_tower(eos_row_text_tower, cfg, batch, seq_len, bindings, seed)
+    np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
+    assert grads.keys() == grads_ref.keys()
+    for name in grads_ref:
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=1e-9, atol=1e-12,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_last_block_key_bias_is_inert(num_layers):
+    cfg, batch, seq_len, bindings, seed = _tower_case(num_layers)
+    bk = f"txt.l{num_layers - 1}.bk"
+    z, grads = _run_tower(build_text_tower, cfg, batch, seq_len, bindings, seed)
+    assert not bits(grads[bk]).any()  # +0 everywhere
+    moved = dict(bindings, **{bk: bindings[bk] + 5.0})
+    z_moved, _ = _run_tower(build_text_tower, cfg, batch, seq_len, moved, seed)
+    np.testing.assert_array_equal(bits(z_moved), bits(z))
+
+
 def test_image_tower_gradient_matches_finite_differences(params):
     g = Graph()
     z = build_image_tower(g, IMG_CFG)
@@ -255,6 +304,18 @@ def test_bad_checkpoint_header_is_data_error(tmp_path, params, edit):
     _edit_header(path, edit)
     with pytest.raises(DataError, match="model.npz"):
         load_checkpoint(path)
+
+
+def test_checkpoint_records_vocab_fingerprint(tmp_path, vocab, params):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5)
+    assert checkpoint_vocab_fingerprint(path) is None  # an older header
+    save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5, vocab=vocab)
+    assert checkpoint_vocab_fingerprint(path) == vocab_fingerprint(vocab)
+    assert load_checkpoint(path)[0] == TEXT_CFG
+    _edit_header(path, lambda m: m.update(vocab_sha256=12))
+    with pytest.raises(DataError, match="model.npz"):
+        checkpoint_vocab_fingerprint(path)
 
 
 def test_trained_model_encodes_both_modalities(vocab, params):
