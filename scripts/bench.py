@@ -20,6 +20,13 @@ metric, and the machine the runs shared.
 The claim rule: the change wins at least nine tenths of the pairs (ties
 count for neither side), and the medians differ, in the better direction,
 by more than the base's interquartile range.
+
+The no-regression verdict, for every end-to-end metric with its ``bound``
+from BENCHMARK.json: ``worse`` when the change's median is worse than the
+base's by more than the bound (as a share of the base's median);
+otherwise ``unresolved`` when the base's IQR exceeds the bound (again as a
+share of its median) and not every change run beats every base run;
+otherwise ``within_bound``.
 """
 
 from __future__ import annotations
@@ -126,8 +133,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], metric: str, better: str | None) -> dict:
-    """Medians, quartiles and, with a direction, wins and the claim verdict."""
+def summarize(pairs: list[dict], metric: str, better: str | None,
+              bound: float | None = None) -> dict:
+    """Medians, quartiles and, with a direction, wins and the claim verdict;
+    with a bound too, the no-regression verdict."""
     ok = [p for p in pairs if "metrics" in p["base"] and "metrics" in p["change"]
           and metric in p["base"]["metrics"] and metric in p["change"]["metrics"]]
     out = {}
@@ -150,6 +159,16 @@ def summarize(pairs: list[dict], metric: str, better: str | None) -> dict:
         "median_gap_in_better_direction": gap, "base_iqr": iqr,
         "claim_rule_met": wins >= 0.9 * len(pairs) and gap > iqr,
     })
+    if bound is not None:
+        # signed so that larger is better; a failed run beats nothing
+        signed = {side: [sign * p[side]["metrics"][metric] for p in ok]
+                  for side in ("base", "change")}
+        every_run_better = len(ok) == len(pairs) and min(signed["change"]) > max(signed["base"])
+        scale = abs(out["base"]["median"])
+        out["bound"] = bound
+        out["verdict"] = ("worse" if -gap > bound * scale else
+                          "unresolved" if iqr > bound * scale and not every_run_better else
+                          "within_bound")
     return out
 
 
@@ -192,6 +211,7 @@ def main() -> int:
     seeds = parse_seeds(args.seeds)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     work = Path(tempfile.mkdtemp(prefix="bench-", dir=args.workdir))
     try:
@@ -223,7 +243,11 @@ def main() -> int:
         "machine": machine_facts(),
         "claim_rule": "change wins >= 9/10 of pairs (ties count for neither) and the "
                       "median gap in the better direction exceeds the base's IQR",
-        "end_to_end": {m: summarize(pairs, m, better.get(m)) for m in e2e},
+        "verdict_rule": "worse: the change's median is worse than the base's by more than "
+                        "the bound; unresolved: the base's IQR exceeds the bound and not "
+                        "every change run beats every base run; else within_bound (bound "
+                        "and IQR as shares of the base's median)",
+        "end_to_end": {m: summarize(pairs, m, better.get(m), bounds[m]) for m in e2e},
         "per_layer_traced": {m: summarize(traced, m, None) for m in layer_names},
         "failed_over_attempted": {
             s: [sum(p[s].get("failed", 0) for p in pairs),
@@ -240,7 +264,8 @@ def main() -> int:
         s = result["end_to_end"][m]
         if "base" in s:
             print(f"{m:<12} base {s['base']['median']:.4g}  change {s['change']['median']:.4g}  "
-                  f"wins {s.get('wins')}/{s.get('pairs')}  claim {s.get('claim_rule_met')}")
+                  f"wins {s.get('wins')}/{s.get('pairs')}  claim {s.get('claim_rule_met')}  "
+                  f"verdict {s.get('verdict')}")
     print(f"digests equal: {result['digests_equal']}  -> {out}")
     return 0
 

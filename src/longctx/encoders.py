@@ -122,16 +122,19 @@ def build_text_tower(g: Graph, cfg: TextEncoderConfig, batch: int, seq_len: int)
 
     Only the EOS position of the last block reaches the pooled output, so
     that block computes its query, residual and feed-forward for the EOS
-    row alone, and folds its key and value projections into that one query
-    (weight absorption).  Per head h, with ``a`` the block's ln1 rows:
+    row alone, and folds its key and value projections and its ln1 affine
+    into that one query (weight absorption).  Per head h, with ``xhat`` the
+    standardized rows of the block's input and ``γ, β`` its ln1 gain and
+    bias, the ``norm_attention`` primitive computes
 
-        scores = (q_h Wk_hᵀ) · aᵀ        u = softmax(scores + mask) · a
-        ctx_h  = u Wv_h + bv_h
+        scores = ((q_h Wk_hᵀ) ∘ γ) · xhatᵀ        u = softmax(scores + mask) · xhat
+        ctx_h  = (u ∘ γ) Wv_h + β Wv_h + bv_h
 
-    which equals attention over k = a Wk + bk, v = a Wv + bv in exact
-    arithmetic: each attention row sums to 1, and q_h · bk_h is the same for
-    every key, which softmax ignores.  So the last block's ``bk`` is bound
-    but never read, and its gradient is exactly 0.
+    which equals attention over k = a Wk + bk, v = a Wv + bv with
+    a = xhat ∘ γ + β in exact arithmetic: each attention row sums to 1, and
+    q_h · (β Wk_hᵀ + bk_h) is the same for every key, which softmax ignores.
+    So the block's full-sequence ln1 output is never formed, and the last
+    block's ``bk`` is bound but never read: its gradient is exactly 0.
     """
     d, heads = cfg.embed_dim, cfg.num_heads
     dh = d // heads
@@ -143,12 +146,13 @@ def build_text_tower(g: Graph, cfg: TextEncoderConfig, batch: int, seq_len: int)
     h = g.add(g.embedding(tok, ids), g.slice_rows(pos, seq_len))
     for i in range(cfg.num_layers):
         p = f"txt.l{i}"
-        a = g.layer_norm(h, g.input(f"{p}.ln1.g"), g.input(f"{p}.ln1.b"))
+        gain, bias = g.input(f"{p}.ln1.g"), g.input(f"{p}.ln1.b")
 
         def proj(x, w):
             return g.add(g.matmul(x, g.input(f"{p}.w{w}")), g.input(f"{p}.b{w}"))
 
         if i < cfg.num_layers - 1:
+            a = g.layer_norm(h, gain, bias)
             q, k, v = (g.transpose(g.reshape(proj(a, w), (batch, seq_len, heads, dh)),
                                    (0, 2, 1, 3)) for w in "qkv")
             # prescale q so the [B,H,L,L] score tensor needs no extra pass
@@ -158,19 +162,21 @@ def build_text_tower(g: Graph, cfg: TextEncoderConfig, batch: int, seq_len: int)
             ctx = g.reshape(g.transpose(g.matmul(att, v), (0, 2, 1, 3)), (batch, seq_len, d))
         else:
             g.input(f"{p}.bk")
-            h = g.gather_rows(h, eos_idx)
-            q = g.scale(proj(g.gather_rows(a, eos_idx), "q"), 1.0 / np.sqrt(dh))
+            seq, h = h, g.gather_rows(h, eos_idx)
+            q = g.scale(proj(g.layer_norm(h, gain, bias), "q"), 1.0 / np.sqrt(dh))
             # Wk and Wv split by output column into heads; with q as [H,B,dh]
-            # the two per-position products are plain [B,H,*] GEMMs
+            # the two per-head products are plain [H,B,*] GEMMs
             q_heads = g.transpose(g.reshape(q, (batch, heads, dh)), (1, 0, 2))
             wk = g.transpose(g.reshape(g.input(f"{p}.wk"), (d, heads, dh)), (1, 2, 0))
-            qk = g.transpose(g.matmul(q_heads, wk), (1, 0, 2))               # [B,H,d]
-            scores = g.matmul(qk, g.transpose(a, (0, 2, 1)), name=f"{p}.scores")
-            att = g.softmax(g.add(scores, g.reshape(mask, (batch, 1, seq_len))))
-            u = g.transpose(g.matmul(att, a), (1, 0, 2))                     # [H,B,d]
-            wv = g.transpose(g.reshape(g.input(f"{p}.wv"), (d, heads, dh)), (1, 0, 2))
+            qk = g.mul(g.transpose(g.matmul(q_heads, wk), (1, 0, 2)), gain)  # [B,H,d]
+            u = g.norm_attention(seq, qk, g.reshape(mask, (batch, 1, seq_len)),
+                                 name=f"{p}.attention")
+            u = g.transpose(g.mul(u, gain), (1, 0, 2))                      # [H,B,d]
+            wv_in = g.input(f"{p}.wv")
+            wv = g.transpose(g.reshape(wv_in, (d, heads, dh)), (1, 0, 2))
             ctx = g.transpose(g.matmul(u, wv), (1, 0, 2))                    # [B,H,dh]
-            ctx = g.add(g.reshape(ctx, (batch, d)), g.input(f"{p}.bv"))
+            ctx_bias = g.add(g.matmul(g.reshape(bias, (1, d)), wv_in), g.input(f"{p}.bv"))
+            ctx = g.add(g.reshape(ctx, (batch, d)), ctx_bias)
         h = g.add(h, proj(ctx, "o"))
         m = g.layer_norm(h, g.input(f"{p}.ln2.g"), g.input(f"{p}.ln2.b"))
         ff = g.matmul(g.gelu(proj(m, "1")), g.input(f"{p}.w2"))

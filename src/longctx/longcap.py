@@ -433,8 +433,10 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
 
     The journal (line-delimited results) is both the progress log and the
     resume state: records present as ``done`` are returned as-is without any
-    backend traffic.  Output ordering is by record id regardless of
-    completion order.
+    backend traffic.  It is opened once per run; each result line is
+    flushed as it is appended, so a reader sees every complete line, and
+    the file is fsynced once when the run ends.  Output ordering is by
+    record id regardless of completion order.
     """
     if not corpus:
         raise UsageError("empty corpus")
@@ -453,21 +455,27 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
     pending = [r for r in corpus if r.id not in done]
     journal_lock = threading.Lock()
     fresh: dict[str, RecordResult] = {}
+    journal = Path(journal_path).open("a") if journal_path else None
 
     def handle(record):
         result = process_record(record, backend)
-        if journal_path:
+        if journal:
             with journal_lock:
-                append_journal(journal_path, result)
+                append_journal(journal, result)
         return result
 
-    if max_workers <= 1 or len(pending) <= 1:
-        for record in pending:
-            fresh[record.id] = handle(record)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for result in pool.map(handle, pending):
-                fresh[result.id] = result
+    try:
+        if max_workers <= 1 or len(pending) <= 1:
+            for record in pending:
+                fresh[record.id] = handle(record)
+        else:
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                for result in pool.map(handle, pending):
+                    fresh[result.id] = result
+    finally:
+        if journal:
+            with journal:
+                os.fsync(journal.fileno())
 
     merged = {**done, **fresh}
     ordered = [merged[rid] for rid in sorted(merged)]
@@ -512,9 +520,10 @@ def write_output_corpus(corpus: LongCapCorpus, path) -> None:
         fh.writelines(_json_line(r) for r in corpus.results)
 
 
-def append_journal(path, result: RecordResult) -> None:
-    with Path(path).open("a") as fh:
-        fh.write(_json_line(result))
+def append_journal(fh, result: RecordResult) -> None:
+    """One result line onto the open journal ``fh``, flushed to the file."""
+    fh.write(_json_line(result))
+    fh.flush()
 
 
 def read_journal(path) -> list[RecordResult]:

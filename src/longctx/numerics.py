@@ -108,6 +108,16 @@ class Graph:
     def layer_norm(self, a, gain, bias, name=None):
         return self._register("layer_norm", (a, gain, bias), name)
 
+    def norm_attention(self, h, qk, mask, name=None):
+        """Attention of one query per head over the standardized rows of h.
+
+        With ``xhat`` the rows of ``h`` [B,L,d] standardized (``layer_norm``
+        without gain or bias), per head ``u = softmax(qk·xhatᵀ + mask)·xhat``
+        for ``qk`` [B,H,d] and an additive ``mask`` broadcastable to
+        [B,H,L]; the result is [B,H,d].
+        """
+        return self._register("norm_attention", (h, qk, mask), name)
+
     def l2_normalize(self, a, name=None):
         return self._register("l2_normalize", (a,), name)
 
@@ -200,6 +210,25 @@ def _softmax_last(x):
     return e
 
 
+def _standardize(x):
+    """Rows of x centered and scaled to unit variance: (xhat, 1/std)."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _standardize_vjp(dx, xhat, inv):
+    """dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), written
+    over dxhat in place; returns the scratch buffer it used."""
+    t = dx * xhat
+    t_mean = t.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= np.multiply(xhat, t_mean, out=t)
+    dx *= inv
+    return t
+
+
 def _gelu_tanh(x):
     x2 = x * x
     t = _GELU_A * x2 * x
@@ -253,12 +282,23 @@ def _fwd(node, xs):
         _require(x.ndim >= 1, node, "layer_norm needs >=1-d input")
         _require(_broadcasts_to(gain.shape, x.shape) and _broadcasts_to(bias.shape, x.shape),
                  node, "gain/bias not broadcastable to input")
-        xhat = x - x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
-        xhat *= inv
+        xhat, inv = _standardize(x)
         y = xhat * gain
         y += bias
         return y, (xhat, inv)
+    if op == "norm_attention":
+        h, qk, mask = xs
+        _require(h.ndim == 3 and qk.ndim == 3 and qk.shape[0] == h.shape[0]
+                 and qk.shape[2] == h.shape[2], node,
+                 f"norm_attention expects h [B,L,d] and qk [B,H,d], got {h.shape}, {qk.shape}")
+        _require(_broadcasts_to(mask.shape, qk.shape[:2] + h.shape[1:2]), node,
+                 f"mask {mask.shape} not broadcastable to [B,H,L] "
+                 f"{qk.shape[:2] + h.shape[1:2]}")
+        xhat, inv = _standardize(h)
+        scores = np.matmul(qk, np.swapaxes(xhat, -1, -2))
+        scores += mask
+        att = _softmax_last(scores)
+        return np.matmul(att, xhat), (xhat, inv, att)
     if op == "l2_normalize":
         x = xs[0]
         n = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -339,16 +379,25 @@ def _vjp(node, xs, y, gy, aux):
     if op == "layer_norm":
         x, gain, bias = xs
         xhat, inv = aux
-        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place
         dx = gy * gain
-        t = dx * xhat
-        t_mean = t.mean(axis=-1, keepdims=True)
-        dx -= dx.mean(axis=-1, keepdims=True)
-        dx -= np.multiply(xhat, t_mean, out=t)
-        dx *= inv
+        t = _standardize_vjp(dx, xhat, inv)
         dgain = _sum_to_shape(np.multiply(gy, xhat, out=t), gain.shape)
         dbias = _sum_to_shape(gy, bias.shape)
         return [dx, dgain, dbias]
+    if op == "norm_attention":
+        _, qk, mask = xs
+        xhat, inv, att = aux
+        heads = att.shape[1]
+        # one [B,L,2H]·[B,2H,d] GEMM: g_xhat = attᵀ·gu + gsᵀ·qk
+        weights = np.empty(att.shape[:1] + (2 * heads,) + att.shape[2:], dtype=att.dtype)
+        weights[:, :heads] = att
+        gs = weights[:, heads:]
+        np.matmul(gy, np.swapaxes(xhat, -1, -2), out=gs)
+        gs -= (gs * att).sum(axis=-1, keepdims=True)
+        gs *= att  # the softmax VJP: gs = att * (g_att - sum(g_att * att))
+        g_xhat = np.matmul(np.swapaxes(weights, -1, -2), np.concatenate((gy, qk), axis=1))
+        _standardize_vjp(g_xhat, xhat, inv)
+        return [g_xhat, np.matmul(gs, xhat), _sum_to_shape(gs, mask.shape)]
     if op == "l2_normalize":
         return [(gy - y * (gy * y).sum(axis=-1, keepdims=True)) / aux]
     if op == "embedding":
@@ -361,10 +410,9 @@ def _vjp(node, xs, y, gy, aux):
         np.add.at(gt.reshape(-1), flat_ids.reshape(-1), gy.reshape(-1))
         return [gt, None]
     if op == "gather_rows":
-        x, idx = xs
-        gx = np.zeros_like(x)
-        gx[np.arange(x.shape[0]), idx] = gy
-        return [gx, None]
+        # the gathered rows' gradient alone: backward adds it in place at
+        # row idx[b] of sequence b, instead of forming the dense array
+        return [gy, None]
     if op == "diag":
         gx = np.zeros_like(xs[0])
         np.fill_diagonal(gx, gy)
@@ -467,6 +515,10 @@ def backward(tape: Tape, output: str | None = None, seed=None) -> dict[str, np.n
         if seed.shape != out_val.shape:
             raise UsageError(f"seed shape {seed.shape} != output shape {out_val.shape}")
     grads = [None] * len(graph.nodes)
+    # owned[i]: grads[i] is a buffer only backward holds, so it may be added
+    # into; a VJP part that is (a view of) its gy, like add's, or the
+    # caller's seed, is not
+    owned = [False] * len(graph.nodes)
     grads[out_node.idx] = seed
     for node in reversed(graph.nodes):
         gy = grads[node.idx]
@@ -474,13 +526,31 @@ def backward(tape: Tape, output: str | None = None, seed=None) -> dict[str, np.n
             continue
         xs = [tape.values[a.idx] for a in node.args]
         parts = _vjp(node, xs, tape.values[node.idx], gy, tape.aux[node.idx])
-        for arg, part in zip(node.args, parts):
+        for arg, x, part in zip(node.args, xs, parts):
             if part is None:
                 continue
-            if grads[arg.idx] is None:
-                grads[arg.idx] = part
+            i = arg.idx
+            if node.op == "gather_rows":
+                at = (np.arange(x.shape[0]), xs[1])
+                if grads[i] is None:
+                    grads[i] = np.zeros_like(x)
+                    grads[i][at] = part
+                else:
+                    if not owned[i]:
+                        grads[i] = grads[i].copy()
+                    grads[i][at] += part
+                owned[i] = True
+                continue
+            fresh = part is not gy and not np.may_share_memory(part, gy)
+            if grads[i] is None:
+                grads[i], owned[i] = part, fresh
+            elif owned[i]:
+                grads[i] += part
+            elif fresh:
+                part += grads[i]  # float addition commutes: same bits as grads[i] + part
+                grads[i], owned[i] = part, True
             else:
-                grads[arg.idx] = grads[arg.idx] + part
+                grads[i], owned[i] = grads[i] + part, True
     result = {}
     for name, node in graph.inputs.items():
         g = grads[node.idx]

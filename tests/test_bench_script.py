@@ -47,3 +47,25 @@ def test_higher_is_better_and_failed_runs_count_as_lost():
     pairs[1]["change"] = {"seed": 1, "error": "exit 1"}
     s = bench.summarize(pairs, "items_per_s", "higher")
     assert s["wins"] == 8 and s["pairs"] == 10 and not s["claim_rule_met"]
+
+
+WIDE = [6.0, 8.0, 10.0, 12.0, 14.0, 7.0, 9.0, 11.0, 13.0, 10.0]  # IQR 0.35 of the median
+
+
+@pytest.mark.parametrize("base, change, better, verdict", [
+    (BASE, [b * 1.1 for b in BASE], "lower", "within_bound"),     # 10% slower, bound 25%
+    (BASE, [b * 1.3 for b in BASE], "lower", "worse"),
+    (BASE, [b * 0.7 for b in BASE], "higher", "worse"),
+    (WIDE, [w * 1.05 for w in WIDE], "lower", "unresolved"),     # spread wider than the bound
+    (WIDE, [5.0] * 10, "lower", "within_bound"),                  # every change run is better
+    (WIDE, [15.0] * 10, "higher", "within_bound"),
+])
+def test_no_regression_verdict(base, change, better, verdict):
+    s = bench.summarize(pairs_of(base, change, "m"), "m", better, bound=0.25)
+    assert s["verdict"] == verdict and s["bound"] == 0.25
+
+
+def test_verdict_counts_a_failed_run_as_not_better():
+    pairs = pairs_of(WIDE, [5.0] * 10)
+    pairs[0]["change"] = {"seed": 0, "error": "exit 1"}
+    assert bench.summarize(pairs, "command_s", "lower", bound=0.25)["verdict"] == "unresolved"

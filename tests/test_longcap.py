@@ -1,5 +1,11 @@
+import builtins
+import dataclasses
+import io
+import json
+import os
 import sys
 import threading
+import time
 
 import pytest
 import requests
@@ -318,6 +324,49 @@ def test_journal_round_trip(tmp_path):
     entries = read_journal(journal)
     assert {e.id for e in entries} == {"fix-00", "fix-01"}
     assert all(e.template_version == "v1" for e in entries)
+
+
+def test_journal_opened_once_and_each_line_readable_during_the_run(tmp_path, monkeypatch):
+    records = fixture_caption_records()
+    journal = tmp_path / "journal.jsonl"
+    writes, seen = [], []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and os.fspath(file) == str(journal) and mode != "r":
+            writes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    class Peeking(MockBackend):
+        def generate(self, prompt, image_ref=None):
+            if prompt.startswith("TASK: augment"):
+                seen.append(journal.read_text() if journal.exists() else "")
+            return super().generate(prompt, image_ref)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    run_pipeline(records, Peeking(), journal_path=journal, max_workers=1)
+    assert len(writes) == 1
+    # record k starts with the k earlier results on disk as complete lines
+    for k, text in enumerate(seen):
+        assert text.count("\n") == k and text.endswith("\n") == (k > 0)
+        assert [json.loads(line)["id"] for line in text.splitlines()] == [
+            r.id for r in records[:k]]
+
+
+def test_shared_journal_handle_keeps_lines_whole_under_many_workers(tmp_path):
+    base = fixture_caption_records()
+    records = [dataclasses.replace(base[n % len(base)], id=f"r{n:03d}") for n in range(200)]
+    journal = tmp_path / "journal.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        run_pipeline(records, MockBackend(), journal_path=journal, max_workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - start < 60
+    assert sorted(e.id for e in read_journal(journal)) == [r.id for r in records]
 
 
 def test_resume_from_torn_final_journal_line(tmp_path):

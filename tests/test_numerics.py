@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bits, reference_fwd, reference_vjp
+from longctx.encoders import MASK_VALUE
 from longctx.errors import NumericError, ShapeError, UsageError
 from longctx.numerics import (
     Graph,
@@ -430,3 +431,71 @@ def test_layer_norm_gain_must_broadcast_to_input():
     g.output(g.layer_norm(x, gain, bias), "y")
     with pytest.raises(ShapeError, match="broadcastable to input"):
         evaluate(g, {"x": np.ones(3), "gain": np.ones((2, 3)), "bias": np.zeros(3)})
+
+
+# -- norm_attention ---------------------------------------------------------------
+
+
+def _norm_attention_graph():
+    g = Graph()
+    h, qk, mask, w = (g.input(n) for n in ("h", "qk", "mask", "w"))
+    g.output(g.mean(g.mul(g.norm_attention(h, qk, mask, name="att"), w)), "f")
+    return g
+
+
+def _norm_attention_bindings(rng, batch=2, length=5, d=6, heads=3, mask_heads=1):
+    mask = rng.normal(size=(batch, mask_heads, length))
+    mask[0, :, -2:] = MASK_VALUE  # padded keys, as attention_mask writes them
+    return {"h": rng.normal(size=(batch, length, d)) + rng.normal(size=(batch, length, 1)),
+            "qk": rng.normal(size=(batch, heads, d)), "mask": mask,
+            "w": rng.normal(size=(batch, heads, d))}
+
+
+def test_norm_attention_matches_layer_norm_then_attention():
+    rng = np.random.default_rng(0)
+    b = _norm_attention_bindings(rng)
+    g = Graph()
+    g.output(g.norm_attention(*(g.input(n) for n in ("h", "qk", "mask"))), "u")
+    u = evaluate(g, {k: b[k] for k in ("h", "qk", "mask")})["u"]
+    ln = Graph()
+    ln.output(ln.layer_norm(ln.input("x"), ln.input("g"), ln.input("b")), "y")
+    xhat = evaluate(ln, {"x": b["h"], "g": np.ones(6), "b": np.zeros(6)})["y"]
+    scores = b["qk"] @ np.swapaxes(xhat, 1, 2) + b["mask"]
+    att = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att /= att.sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(u, att @ xhat, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("mask_heads", [1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_norm_attention_grads_match_finite_differences(seed, mask_heads):
+    rng = np.random.default_rng(seed)
+    _fd_check(_norm_attention_graph(), _norm_attention_bindings(rng, mask_heads=mask_heads),
+              names=["h", "qk", "mask"])
+
+
+@pytest.mark.parametrize("h_shape, qk_shape, mask_shape", [
+    ((2, 5, 6), (2, 3, 4), (2, 1, 5)),    # qk's width is not h's
+    ((2, 5, 6), (3, 3, 6), (2, 1, 5)),    # batch sizes differ
+    ((2, 5, 6), (2, 3, 6), (2, 1, 4)),    # mask is not over h's rows
+    ((2, 5, 6), (2, 3, 6), (2, 2, 5)),    # mask heads neither 1 nor H
+    ((5, 6), (2, 3, 6), (2, 1, 5)),       # h is not [B,L,d]
+])
+def test_norm_attention_shape_errors_name_the_node(h_shape, qk_shape, mask_shape):
+    g = Graph()
+    g.output(g.norm_attention(*(g.input(n) for n in ("h", "qk", "mask")), name="att"), "u")
+    with pytest.raises(ShapeError, match="node 'att' \\(norm_attention\\)"):
+        evaluate(g, {"h": np.ones(h_shape), "qk": np.ones(qk_shape),
+                     "mask": np.zeros(mask_shape)})
+
+
+def test_gather_rows_gradient_does_not_write_into_an_aliased_gradient():
+    # backward reaches x first through the add, whose VJP hands the same gy
+    # to x and k; the gathered rows must then go into a copy, not into k's
+    g = Graph()
+    x, k, idx, w = (g.input(n) for n in ("x", "k", "idx", "w"))
+    rows = g.gather_rows(x, idx)
+    g.output(g.add(g.mean(g.mul(rows, rows)), g.mean(g.mul(g.add(x, k), w))), "f")
+    rng = np.random.default_rng(3)
+    _fd_check(g, {"x": rng.normal(size=(3, 4, 2)), "k": rng.normal(size=(3, 4, 2)),
+                  "idx": np.array([0, 3, 3]), "w": rng.normal(size=(3, 4, 2))})
