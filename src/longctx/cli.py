@@ -32,6 +32,7 @@ from .data import (
     generate_synthetic,
     load_articles,
     load_corpus,
+    read_text,
     save_corpus,
     write_benchmark_manifest,
 )
@@ -323,7 +324,7 @@ def cmd_tokenize_stats(cfg: dict) -> int:
     if cfg["corpus"]:
         captions = load_corpus(cfg["corpus"]).captions()
     elif cfg["captions"]:
-        captions = [ln for ln in Path(cfg["captions"]).read_text().splitlines() if ln]
+        captions = [ln for ln in read_text(cfg["captions"]).splitlines() if ln]
     else:
         raise UsageError("missing required input: --corpus or --captions")
     out = prepare_out_dir("tokenize-stats", cfg)

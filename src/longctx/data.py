@@ -4,6 +4,10 @@ Two on-disk corpus layouts are supported: line-delimited JSON records, and
 tar shards where an image member (``<base>.npy``) and a caption member
 (``<base>.txt``) share a basename.  Images are precomputed feature vectors
 throughout; pixels are out of scope.
+
+Every line-delimited JSON file of the package (corpora, articles, caption
+records, the ``longcap`` journal and zero-shot tasks) is read by
+``read_json_lines`` and written through ``json_line``.
 """
 
 from __future__ import annotations
@@ -68,6 +72,54 @@ class PairedCorpus:
         return np.stack([r.image for r in self.records])
 
 
+# -- input files: JSON lines and text -----------------------------------------------
+
+
+def _json_object(raw: bytes) -> dict:
+    obj = json.loads(raw.decode("utf-8"))
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def read_json_lines(path, what: str, build) -> list:
+    """``build(obj)`` for each JSON object line of ``path``, in file order.
+
+    The one reader of every line-delimited record file.  The file is UTF-8
+    split on newlines only, so a U+2028 or U+0085 inside a string stays in
+    its line; blank lines are skipped.  An unreadable file, a line that is
+    not a UTF-8 JSON object, or a ``KeyError``/``ValueError``/``TypeError``
+    from ``build`` raises a ``DataError`` naming the file and the line.
+    """
+    try:
+        lines = Path(path).read_bytes().split(b"\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(build(_json_object(line)))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DataError(f"{path} line {lineno}: malformed {what} ({exc})") from exc
+    return out
+
+
+def json_line(obj: dict) -> str:
+    """The one serializer of a record line: sorted keys, ASCII, newline-ended."""
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; an unreadable or non-UTF-8 file is a
+    ``DataError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 # -- records / shards I/O ---------------------------------------------------------
 
 
@@ -91,26 +143,12 @@ def save_corpus(corpus: PairedCorpus, path, format: str = "records",
 
 
 def _load_records(path: Path) -> PairedCorpus:
-    records = []
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            rec = CorpusRecord(
-                id=str(obj["id"]),
-                image=np.asarray(obj["image"], dtype=np.float64),
-                caption=str(obj["caption"]),
-                context=obj.get("context", {}),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"{path} line {lineno}: malformed record ({exc})") from exc
-        records.append(rec)
-    return PairedCorpus(records)
+    return PairedCorpus(read_json_lines(path, "record", lambda obj: CorpusRecord(
+        id=str(obj["id"]),
+        image=np.asarray(obj["image"], dtype=np.float64),
+        caption=str(obj["caption"]),
+        context=obj.get("context", {}),
+    )))
 
 
 def _save_records(corpus: PairedCorpus, path: Path) -> None:
@@ -121,7 +159,7 @@ def _save_records(corpus: PairedCorpus, path: Path) -> None:
                    "caption": rec.caption}
             if rec.context:
                 obj["context"] = rec.context
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(json_line(obj))
 
 
 def _shard_paths(path: Path) -> list[Path]:
@@ -133,19 +171,33 @@ def _shard_paths(path: Path) -> list[Path]:
     return [path]
 
 
+# how each shard member's bytes become a field of its record
+_MEMBER_DECODERS = {
+    "npy": lambda raw: np.asarray(np.load(io.BytesIO(raw), allow_pickle=False),
+                                  dtype=np.float64),
+    "txt": lambda raw: raw.decode("utf-8"),
+    "json": _json_object,
+}
+
+
 def _load_shards(path: Path) -> PairedCorpus:
     records = []
     for shard in _shard_paths(path):
-        members: dict[str, dict[str, bytes]] = {}
+        members: dict[str, dict[str, object]] = {}
         try:
             with tarfile.open(shard) as tar:
                 for info in tar:
                     if not info.isfile():
                         continue
                     base, dot, ext = info.name.rpartition(".")
-                    if not dot or ext not in ("npy", "txt", "json"):
+                    if not dot or ext not in _MEMBER_DECODERS:
                         raise DataError(f"{shard}: unexpected member {info.name!r}")
-                    members.setdefault(base, {})[ext] = tar.extractfile(info).read()
+                    raw = tar.extractfile(info).read()
+                    try:
+                        members.setdefault(base, {})[ext] = _MEMBER_DECODERS[ext](raw)
+                    except (ValueError, TypeError) as exc:
+                        raise DataError(f"{shard}: malformed member {info.name!r} "
+                                        f"({exc})") from exc
         except tarfile.TarError as exc:
             raise DataError(f"cannot read shard {shard}: {exc}") from exc
         for base in sorted(members):
@@ -153,11 +205,8 @@ def _load_shards(path: Path) -> PairedCorpus:
             if "npy" not in parts or "txt" not in parts:
                 missing = "npy" if "npy" not in parts else "txt"
                 raise DataError(f"{shard}: member {base!r} is missing its .{missing} half")
-            image = np.load(io.BytesIO(parts["npy"]), allow_pickle=False)
-            context = json.loads(parts["json"]) if "json" in parts else {}
-            records.append(CorpusRecord(id=base, image=np.asarray(image, dtype=np.float64),
-                                        caption=parts["txt"].decode("utf-8"),
-                                        context=context))
+            records.append(CorpusRecord(id=base, image=parts["npy"], caption=parts["txt"],
+                                        context=parts.get("json", {})))
     return PairedCorpus(records)
 
 
@@ -242,23 +291,15 @@ def build_long_caption_benchmark(articles: list[Article], seed: int = 0,
 
 def load_articles(path) -> list[Article]:
     """Minimal fixture parser for line-delimited article records."""
-    articles = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            figures = tuple(
-                Figure(figure_id=str(f["figure_id"]),
-                       image=np.asarray(f["image"], dtype=np.float64),
-                       caption=str(f["caption"]),
-                       inline_refs=tuple(f.get("inline_refs", [])))
-                for f in obj.get("figures", []))
-            articles.append(Article(article_id=str(obj["article_id"]),
-                                    figures=figures, date=str(obj.get("date", ""))))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"{path} line {lineno}: malformed article ({exc})") from exc
-    return articles
+    return read_json_lines(path, "article", lambda obj: Article(
+        article_id=str(obj["article_id"]),
+        figures=tuple(
+            Figure(figure_id=str(f["figure_id"]),
+                   image=np.asarray(f["image"], dtype=np.float64),
+                   caption=str(f["caption"]),
+                   inline_refs=tuple(f.get("inline_refs", [])))
+            for f in obj.get("figures", [])),
+        date=str(obj.get("date", ""))))
 
 
 def write_benchmark_manifest(build: BenchmarkBuild, path) -> None:

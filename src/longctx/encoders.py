@@ -13,8 +13,10 @@ masked positions still get exactly zero probability after softmax.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
 
@@ -214,30 +216,18 @@ def batch_arrays(seqs: list[TokenSeq], pad_id: int, trim_to: int | None = None):
     return ids, visible
 
 
-class _GraphCache:
-    """Reuses built graphs keyed by (kind, batch, seq_len, dtype)."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def text(self, cfg: TextEncoderConfig, batch: int, seq_len: int, dtype):
-        key = ("text", cfg, batch, seq_len, str(dtype))
-        if key not in self._cache:
-            g = Graph(dtype=dtype)
-            g.output(build_text_tower(g, cfg, batch, seq_len))
-            self._cache[key] = g
-        return self._cache[key]
-
-    def image(self, cfg: ImageEncoderConfig, dtype):
-        key = ("image", cfg, str(dtype))
-        if key not in self._cache:
-            g = Graph(dtype=dtype)
-            g.output(build_image_tower(g, cfg))
-            self._cache[key] = g
-        return self._cache[key]
+@functools.cache
+def _text_graph(cfg: TextEncoderConfig, batch: int, seq_len: int, dtype) -> Graph:
+    g = Graph(dtype=dtype)
+    g.output(build_text_tower(g, cfg, batch, seq_len))
+    return g
 
 
-_GRAPHS = _GraphCache()
+@functools.cache
+def _image_graph(cfg: ImageEncoderConfig, dtype) -> Graph:
+    g = Graph(dtype=dtype)
+    g.output(build_image_tower(g, cfg))
+    return g
 
 
 def text_encode(params: dict, cfg: TextEncoderConfig, seqs: list[TokenSeq],
@@ -257,7 +247,7 @@ def text_encode(params: dict, cfg: TextEncoderConfig, seqs: list[TokenSeq],
                 f"{cfg.context_length}; encode with the right window first")
     pad_id = cfg.vocab_size - 3
     ids, visible = batch_arrays(seqs, pad_id=pad_id)
-    g = _GRAPHS.text(cfg, len(seqs), ids.shape[1], dtype)
+    g = _text_graph(cfg, len(seqs), ids.shape[1], dtype)
     bindings = {k: v for k, v in params.items() if k in g.inputs}
     bindings["ids"] = ids
     bindings["mask"] = attention_mask(visible, ids.shape[1])
@@ -271,7 +261,7 @@ def image_encode(params: dict, cfg: ImageEncoderConfig, images: np.ndarray,
     images = np.atleast_2d(np.asarray(images))
     if images.shape[1] != cfg.input_dim:
         raise UsageError(f"expected feature dim {cfg.input_dim}, got {images.shape[1]}")
-    g = _GRAPHS.image(cfg, dtype)
+    g = _image_graph(cfg, dtype)
     bindings = {k: v for k, v in params.items() if k in g.inputs}
     bindings["img"] = images
     return forward(g, bindings).outputs["z_img"]
@@ -338,7 +328,7 @@ def _read_checkpoint(path, with_params: bool):
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
             params = {k[len("param/"):]: data[k] for k in data.files
                       if with_params and k.startswith("param/")}
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
     return meta, params
 

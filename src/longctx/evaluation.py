@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import json
-
 import numpy as np
 
-from .errors import DataError, UsageError
+from .data import json_line, read_json_lines
+from .errors import UsageError
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -159,24 +158,15 @@ def permute_options(task: ZeroShotTask, seed: int) -> ZeroShotTask:
 
 def read_zero_shot_records(path):
     """Line-delimited task records: (image ref, option list, correct index)."""
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            records.append((str(obj["image"]), tuple(str(o) for o in obj["options"]),
-                            int(obj["correct"])))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"{path} line {lineno}: malformed task record ({exc})") from exc
-    return records
+    return read_json_lines(path, "task record", lambda obj: (
+        str(obj["image"]), tuple(str(o) for o in obj["options"]), int(obj["correct"])))
 
 
 def write_zero_shot_records(records, path) -> None:
     with Path(path).open("w") as fh:
-        for image_ref, options, correct in records:
-            fh.write(json.dumps({"image": image_ref, "options": list(options),
-                                 "correct": int(correct)}) + "\n")
+        fh.writelines(json_line({"image": image_ref, "options": list(options),
+                                 "correct": int(correct)})
+                      for image_ref, options, correct in records)
 
 
 RETRIEVAL_CSV_HEADER = "benchmark,direction,K,recall"

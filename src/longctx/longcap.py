@@ -13,7 +13,6 @@ it was produced with.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -26,6 +25,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import requests
 
+from .data import json_line, read_json_lines
 from .errors import DataError, UsageError
 
 TEMPLATE_VERSION = "v1"
@@ -486,43 +486,29 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
 
 
 def read_caption_records(path) -> list[CaptionRecord]:
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            records.append(CaptionRecord(
-                id=str(obj["id"]),
-                image_ref=str(obj.get("image_ref", "")),
-                caption=str(obj["caption"]),
-                inline_mentions=tuple(obj.get("inline_mentions", [])),
-                abstract=str(obj.get("abstract", "")),
-                acronym_map=dict(obj.get("acronym_map", {})),
-            ))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"{path} line {lineno}: malformed caption record ({exc})") from exc
-    return records
-
-
-def _json_line(record) -> str:
-    """The one serializer of ``CaptionRecord`` and ``RecordResult`` lines."""
-    return json.dumps(asdict(record), sort_keys=True) + "\n"
+    return read_json_lines(path, "caption record", lambda obj: CaptionRecord(
+        id=str(obj["id"]),
+        image_ref=str(obj.get("image_ref", "")),
+        caption=str(obj["caption"]),
+        inline_mentions=tuple(obj.get("inline_mentions", [])),
+        abstract=str(obj.get("abstract", "")),
+        acronym_map=dict(obj.get("acronym_map", {})),
+    ))
 
 
 def write_caption_records(records, path) -> None:
     with Path(path).open("w") as fh:
-        fh.writelines(_json_line(r) for r in records)
+        fh.writelines(json_line(asdict(r)) for r in records)
 
 
 def write_output_corpus(corpus: LongCapCorpus, path) -> None:
     with Path(path).open("w") as fh:
-        fh.writelines(_json_line(r) for r in corpus.results)
+        fh.writelines(json_line(asdict(r)) for r in corpus.results)
 
 
 def append_journal(fh, result: RecordResult) -> None:
     """One result line onto the open journal ``fh``, flushed to the file."""
-    fh.write(_json_line(result))
+    fh.write(json_line(asdict(result)))
     fh.flush()
 
 
@@ -532,18 +518,10 @@ def read_journal(path) -> list[RecordResult]:
     Every append ends with a newline, so a final line without one was torn
     by a crash mid-append: it is cut from the file, so that the next append
     starts a line of its own, and its record is processed again.  A
-    malformed complete line is a ``DataError``.
+    malformed complete line, or a missing file, is a ``DataError``.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes() if Path(path).exists() else b""
     complete = data.rfind(b"\n") + 1
     if complete < len(data):
         os.truncate(path, complete)
-    results = []
-    for lineno, line in enumerate(data[:complete].splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            results.append(RecordResult(**json.loads(line)))
-        except (ValueError, TypeError) as exc:
-            raise DataError(f"{path} line {lineno}: malformed journal entry ({exc})") from exc
-    return results
+    return read_json_lines(path, "journal entry", lambda obj: RecordResult(**obj))

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data import read_text
 from .errors import DataError, UsageError
 
 _CHUNK_RE = re.compile(r"\s*\S+|\s+")
@@ -330,11 +331,8 @@ def load_vocab(directory) -> Vocab:
     """
     directory = Path(directory)
     tokens_path, merges_path = directory / "tokens.txt", directory / "merges.txt"
-    try:
-        token_lines = tokens_path.read_text().splitlines()
-        merge_lines = merges_path.read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read vocabulary from {directory}: {exc}") from exc
+    token_lines = read_text(tokens_path).splitlines()
+    merge_lines = read_text(merges_path).splitlines()
     if not token_lines or token_lines[0].split() != ["version", str(VOCAB_FORMAT_VERSION)]:
         raise DataError(f"{tokens_path} line 1: unsupported vocabulary file version "
                         f"{token_lines[0] if token_lines else ''!r}")

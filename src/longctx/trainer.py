@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PairedCorpus
+from .data import PairedCorpus, read_text
 from .encoders import (
     ImageEncoderConfig,
     TextEncoderConfig,
@@ -321,7 +321,7 @@ def steps_to_loss(curve: list[LossPoint], threshold: float) -> int | None:
 def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` file with #-comments; keys mirror TrainConfig."""
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -15,7 +15,7 @@ from longctx.encoders import (
     save_checkpoint,
 )
 from longctx.errors import DataError
-from longctx.evaluation import recall_pair
+from longctx.evaluation import recall_pair, write_zero_shot_records
 from longctx.longcap import write_caption_records
 from longctx.tokenizer import load_vocab, save_vocab, train_bpe
 from longctx.trainer import TrainConfig, train
@@ -335,3 +335,81 @@ def test_longcap_workers_default_follows_backend(tmp_path, monkeypatch, backend,
                 *args, "--out", str(out)]) == 1
     assert seen == [expected]
     assert read_config(out)["workers"] == str(expected)
+
+
+# -- every input of every command: a bad file is one diagnostic line -----------------
+
+# the inputs each command reads (tokenize-stats reads --corpus or --captions)
+COMMAND_INPUTS = [
+    ("tokenize-stats", ("corpus", "vocab", "config")),
+    ("tokenize-stats", ("captions", "vocab", "config")),
+    ("make-synthetic", ("config",)),
+    ("train", ("corpus", "config")),
+    ("eval-retrieval", ("checkpoint", "vocab", "corpus", "config")),
+    ("eval-zeroshot", ("checkpoint", "vocab", "corpus", "task", "config")),
+    ("longcap", ("records", "resume", "config")),
+    ("build-benchmark", ("articles", "config")),
+    ("ablate", ("corpus", "config")),
+]
+# every input holds non-UTF-8 bytes once; a checkpoint or corpus is also cut in half
+SWEEP = [(command, inputs, bad, damage)
+         for command, inputs in COMMAND_INPUTS for bad in inputs
+         for damage in ("non-utf8", "half-length")
+         if damage == "non-utf8" or bad in ("checkpoint", "corpus")]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file per input flag, from a tiny make-synthetic and a 1-epoch train."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run(["make-synthetic", "--classes", "2", "--per-class", "10", "--image-dim", "8",
+                "--prefix-tokens", "4", "--class-token-position", "5",
+                "--out", str(root / "syn")]) == 0
+    corpus = root / "syn" / "corpus.jsonl"
+    assert run(["train", "--corpus", str(corpus), "--context-length", "16",
+                "--batch-size", "5", "--max-epochs", "1", "--vocab-size", "300",
+                "--embed-dim", "16", "--num-layers", "1", "--num-heads", "2",
+                "--output-dim", "8", "--hidden-dim", "16", "--out", str(root / "run")]) == 0
+    records = fixture_caption_records()
+    write_caption_records(records, root / "records.jsonl")
+    (root / "captions.txt").write_text("\n".join(r.caption for r in records) + "\n")
+    (root / "articles.jsonl").write_text(json.dumps(
+        {"article_id": "a1", "figures": [
+            {"figure_id": "f0", "image": [0.1, 0.2], "caption": "cap"}]}) + "\n")
+    write_zero_shot_records([(rec.id, ("alpha", "beta"), 0)
+                             for rec in load_corpus(corpus).records[:4]],
+                            root / "task.jsonl")
+    (root / "config.cfg").write_text("# the defaults\n")
+    return {"corpus": corpus, "vocab": root / "run" / "vocab",
+            "checkpoint": root / "run" / "checkpoint.npz",
+            "records": root / "records.jsonl", "captions": root / "captions.txt",
+            "articles": root / "articles.jsonl", "task": root / "task.jsonl",
+            "config": root / "config.cfg"}
+
+
+@pytest.mark.parametrize("command, inputs, bad, damage", SWEEP,
+                         ids=[f"{c}-{b}-{d}" + ("-via-captions" if "captions" in i else "")
+                              for c, i, b, d in SWEEP])
+def test_bad_input_file_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
+                                               command, inputs, bad, damage):
+    paths = dict(valid_inputs, resume=tmp_path / "journal.jsonl")
+    if damage == "half-length":
+        raw = paths[bad].read_bytes()
+        paths[bad] = tmp_path / paths[bad].name
+        paths[bad].write_bytes(raw[:len(raw) // 2])
+    elif bad == "vocab":
+        paths[bad] = tmp_path / "vocab"
+        paths[bad].mkdir()
+        for name in ("tokens.txt", "merges.txt"):
+            (paths[bad] / name).write_bytes(b"\xff\xfe\n")
+    else:
+        paths[bad] = tmp_path / f"bad-{bad}"
+        paths[bad].write_bytes(b"\xff\xfe\n")
+    args = [command, "--out", str(tmp_path / "out")]
+    for key in inputs:
+        args += [f"--{key}", str(paths[key])]
+    capsys.readouterr()
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"longctx {command}: error: ") and err.count("\n") == 1, err
+    assert str(paths[bad]) in err

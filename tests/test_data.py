@@ -1,3 +1,8 @@
+import io
+import json
+import re
+import tarfile
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,8 @@ from longctx.data import (
     write_benchmark_manifest,
 )
 from longctx.errors import DataError, UsageError
+from longctx.evaluation import read_zero_shot_records
+from longctx.longcap import read_caption_records, read_journal
 from longctx.tokenizer import content_ids, train_bpe
 
 
@@ -93,6 +100,80 @@ def test_shard_missing_member_names_basename(tmp_path):
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
     with pytest.raises(DataError, match="orphan"):
+        load_corpus(shard, format="shards")
+
+
+# -- the input boundary ----------------------------------------------------------
+
+# LINE SEPARATOR and NEXT LINE: str.splitlines splits on them, and
+# json.dumps(..., ensure_ascii=False) writes them raw inside a string
+SEPARATED = "before\u2028middle\u0085after"
+
+# reader, a valid line-1 object carrying SEPARATED, and where it comes back
+READERS = {
+    "corpus": (load_corpus, {"id": "a", "image": [0.0], "caption": SEPARATED},
+               lambda out: out.records[0].caption),
+    "articles": (load_articles, {"article_id": "a", "figures": [
+        {"figure_id": "f", "image": [0.0], "caption": SEPARATED}]},
+                 lambda out: out[0].figures[0].caption),
+    "caption-records": (read_caption_records, {"id": "a", "caption": SEPARATED},
+                        lambda out: out[0].caption),
+    "journal": (read_journal, {"id": "a", "status": "done", "caption": SEPARATED},
+                lambda out: out[0].caption),
+    "task": (read_zero_shot_records, {"image": "a", "options": [SEPARATED, "b"], "correct": 0},
+             lambda out: out[0][1][0]),
+}
+
+
+def _line(obj, ensure_ascii=True) -> bytes:
+    return json.dumps(obj, ensure_ascii=ensure_ascii).encode("utf-8") + b"\n"
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("line2", [b"\xff\xfe{}", b"[1, 2]", b"{}", None],
+                         ids=["non-utf8", "array", "empty-object", "missing-file"])
+def test_bad_input_is_one_data_error_naming_file_and_line(tmp_path, reader, line2):
+    read, first, _ = READERS[reader]
+    path = tmp_path / "input.jsonl"
+    if line2 is not None:
+        path.write_bytes(_line(first) + line2 + b"\n")
+    with pytest.raises(DataError) as info:
+        read(path)
+    message = str(info.value)
+    assert str(path) in message and "\n" not in message
+    if line2 is not None:
+        assert f"{path} line 2: malformed" in message
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_raw_line_separators_stay_inside_their_string(tmp_path, reader):
+    read, first, field = READERS[reader]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(_line(first, ensure_ascii=False))
+    assert field(read(path)) == SEPARATED
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("member, payload", [
+    ("r.txt", b"caption \xff\xfe"),
+    ("r.npy", _npy(np.arange(6.0))[:-20]),
+    ("r.json", b"{not json"),
+], ids=["non-utf8-txt", "truncated-npy", "bad-json"])
+def test_bad_shard_member_names_shard_and_member(tmp_path, member, payload):
+    members = {"r.npy": _npy(np.arange(6.0)), "r.txt": b"a caption", "r.json": b"{}"}
+    members[member] = payload
+    shard = tmp_path / "shard.tar"
+    with tarfile.open(shard, "w") as tar:
+        for name, data in members.items():
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    with pytest.raises(DataError, match=re.escape(f"{shard}: malformed member '{member}'")):
         load_corpus(shard, format="shards")
 
 

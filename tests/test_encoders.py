@@ -306,6 +306,18 @@ def test_bad_checkpoint_header_is_data_error(tmp_path, params, edit):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:len(raw) // 2],
+    lambda raw: b"PK\x03\x04" + bytes(100),
+], ids=["half-length", "zip-magic-then-garbage"])
+def test_corrupt_checkpoint_file_is_data_error(tmp_path, params, corrupt):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(DataError, match="cannot load checkpoint .*model.npz"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_records_vocab_fingerprint(tmp_path, vocab, params):
     path = tmp_path / "model.npz"
     save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5)

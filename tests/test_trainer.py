@@ -15,7 +15,7 @@ from helpers import (
 from longctx import cli, numerics, trainer
 from longctx.data import SyntheticSpec, generate_synthetic
 from longctx.encoders import ImageEncoderConfig, TextEncoderConfig
-from longctx.errors import NumericError, UsageError
+from longctx.errors import DataError, NumericError, UsageError
 from longctx.numerics import backward, finite_difference_grad, forward
 from longctx.tokenizer import train_bpe
 from longctx.trainer import (
@@ -264,6 +264,9 @@ def test_parse_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(UsageError, match="line 1"):
+        parse_config_file(bad)
+    bad.write_bytes(b"seed = \xff\n")
+    with pytest.raises(DataError, match="bad.cfg"):
         parse_config_file(bad)
 
 
