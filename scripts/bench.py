@@ -133,10 +133,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], metric: str, better: str | None,
+def summarize(pairs: list[dict], metric: str, better: str,
               bound: float | None = None) -> dict:
-    """Medians, quartiles and, with a direction, wins and the claim verdict;
-    with a bound too, the no-regression verdict."""
+    """Medians, quartiles, wins and the claim verdict; with a bound, the
+    no-regression verdict too."""
     ok = [p for p in pairs if "metrics" in p["base"] and "metrics" in p["change"]
           and metric in p["base"]["metrics"] and metric in p["change"]["metrics"]]
     out = {}
@@ -145,7 +145,7 @@ def summarize(pairs: list[dict], metric: str, better: str | None,
         if values:
             q1, q2, q3 = quartiles(values)
             out[side] = {"median": q2, "q1": q1, "q3": q3}
-    if not ok or better is None:
+    if not ok:
         return out
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (p["change"]["metrics"][metric] - p["base"]["metrics"][metric]) > 0
@@ -169,6 +169,26 @@ def summarize(pairs: list[dict], metric: str, better: str | None,
         out["verdict"] = ("worse" if -gap > bound * scale else
                           "unresolved" if iqr > bound * scale and not every_run_better else
                           "within_bound")
+    return out
+
+
+def summarize_layer(pairs: list[dict], metric: str) -> dict:
+    """Each side's median and quartiles of a traced per-layer metric.
+
+    A run that reads 0 where the other side of its pair measured the layer
+    did not see it (the layer ran in a process the tracer does not reach),
+    so it is left out rather than counted as 0; a side left with no run is
+    ``"not_observed"``."""
+    out = {}
+    for side, other in (("base", "change"), ("change", "base")):
+        values = [p[side]["metrics"].get(metric, 0.0) for p in pairs if "metrics" in p[side]
+                  and (p[side]["metrics"].get(metric)
+                       or not p[other].get("metrics", {}).get(metric))]
+        if values:
+            q1, q2, q3 = quartiles(values)
+            out[side] = {"median": q2, "q1": q1, "q3": q3}
+        else:
+            out[side] = "not_observed"
     return out
 
 
@@ -248,7 +268,7 @@ def main() -> int:
                         "every change run beats every base run; else within_bound (bound "
                         "and IQR as shares of the base's median)",
         "end_to_end": {m: summarize(pairs, m, better.get(m), bounds[m]) for m in e2e},
-        "per_layer_traced": {m: summarize(traced, m, None) for m in layer_names},
+        "per_layer_traced": {m: summarize_layer(traced, m) for m in layer_names},
         "failed_over_attempted": {
             s: [sum(p[s].get("failed", 0) for p in pairs),
                 sum(p[s].get("attempted", 0) for p in pairs)] for s in ("base", "change")},

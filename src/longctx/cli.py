@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -297,23 +298,84 @@ class AblationRun:
     i2t: RetrievalResult
     curve: list[LossPoint]
     steps_to_target: int | None     # first step at loss <= ln(batch_size)/2
+    train_s: float                  # wall time of the ``train`` call
+    peak_rss_mb: float              # the running process's peak RSS when the run ended
+
+
+def _ablation_run(cfg: dict, corpus, vocab, context: int, ks) -> AblationRun:
+    """One context of the ablation: train, then score retrieval both ways."""
+    train_cfg = _train_config(cfg, context, cfg["seed"])
+    text_cfg, img_cfg = _encoder_configs(cfg, context, vocab.size, corpus.image_dim)
+    start = time.perf_counter()
+    result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
+    train_s = time.perf_counter() - start
+    z_txt = result.model.encode_texts(corpus.captions())
+    z_img = result.model.encode_images(corpus.images())
+    t2i, i2t = recall_pair(z_img, z_txt, ks=ks)
+    steps = steps_to_loss(result.curve, math.log(cfg["batch_size"]) / 2)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return AblationRun(context, t2i, i2t, result.curve, steps, train_s, peak_rss_mb)
+
+
+def _ablation_job(job):
+    index, args = job
+    return index, _ablation_run(*args)
+
+
+# read once, when a process loads its BLAS library
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_pool(workers: int):
+    """A ``spawn`` pool whose workers load numpy with one BLAS thread.
+
+    A spawned interpreter may load numpy before any code of ours runs in it
+    (while it re-imports the parent's main module or unpickles its first
+    job), so the cap goes into this process's environment only while
+    ``Pool`` starts the workers.  A worker holds only its ends of the
+    pool's pipes, so if this process is killed, each worker exits once its
+    current job ends."""
+    import multiprocessing  # ~10 ms that no other command needs to pay
+
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(workers)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def run_ablation(cfg: dict, corpus, vocab, contexts, ks) -> list[AblationRun]:
     """The context-length ablation for seed ``cfg["seed"]``: one model per
     context, trained on the corpus with the ``ablate`` knobs of ``cfg`` and
-    scored by bidirectional retrieval on the same corpus."""
-    runs = []
-    for context in contexts:
-        train_cfg = _train_config(cfg, context, cfg["seed"])
-        text_cfg, img_cfg = _encoder_configs(cfg, context, vocab.size, corpus.image_dim)
-        result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg,
-                       vocab=vocab)
-        z_txt = result.model.encode_texts(corpus.captions())
-        z_img = result.model.encode_images(corpus.images())
-        t2i, i2t = recall_pair(z_img, z_txt, ks=ks)
-        steps = steps_to_loss(result.curve, math.log(cfg["batch_size"]) / 2)
-        runs.append(AblationRun(context, t2i, i2t, result.curve, steps))
+    scored by bidirectional retrieval on the same corpus.
+
+    The contexts train in worker processes, one per usable CPU (at most one
+    per context), each at one BLAS thread: these GEMMs are too small to
+    split, so a second thread mostly spins.  The longest context is handed
+    out first, so it runs alone while the shorter ones share the other
+    workers.  The runs come back in ``contexts`` order and equal a loop of
+    ``_ablation_run`` in this process bit for bit.  An error in a worker is
+    raised here as itself, and no worker outlives the call."""
+    workers = min(len(contexts), len(os.sched_getaffinity(0)))
+    longest_first = sorted(range(len(contexts)), key=lambda i: -contexts[i])
+    jobs = [(i, (cfg, corpus, vocab, contexts[i], ks)) for i in longest_first]
+    runs = [None] * len(contexts)
+    pool = _worker_pool(workers)
+    try:
+        for index, run in pool.imap_unordered(_ablation_job, jobs):
+            runs[index] = run
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
     return runs
 
 
@@ -324,7 +386,9 @@ def cmd_tokenize_stats(cfg: dict) -> int:
     if cfg["corpus"]:
         captions = load_corpus(cfg["corpus"]).captions()
     elif cfg["captions"]:
-        captions = [ln for ln in read_text(cfg["captions"]).splitlines() if ln]
+        # newlines only, as every JSON-lines input; a CRLF file keeps working
+        captions = [ln.removesuffix("\r") for ln in read_text(cfg["captions"]).split("\n")]
+        captions = [c for c in captions if c]
     else:
         raise UsageError("missing required input: --corpus or --captions")
     out = prepare_out_dir("tokenize-stats", cfg)
@@ -473,6 +537,18 @@ def cmd_build_benchmark(cfg: dict) -> int:
     return 0
 
 
+TIMINGS_CSV_HEADER = "context,steps,train_s,step_ms_p50,step_ms_p95,worker_peak_rss_mb"
+
+
+def _timings_row(r: AblationRun) -> str:
+    """Step times are the gaps between the loss curve's marks, so step 0
+    (no start mark) is left out; ``nan`` when fewer than two steps ran."""
+    steps = 1e3 * np.diff([p.seconds for p in r.curve])
+    p50, p95 = np.percentile(steps, (50, 95)) if len(steps) else (math.nan, math.nan)
+    return (f"{r.context},{len(r.curve)},{r.train_s:.3f},{p50:.3f},{p95:.3f},"
+            f"{r.peak_rss_mb:.1f}")
+
+
 def cmd_ablate(cfg: dict) -> int:
     corpus = load_corpus(_require_input(cfg, "corpus"))
     contexts = _parse_int_list(cfg["contexts"], "context")
@@ -493,6 +569,8 @@ def cmd_ablate(cfg: dict) -> int:
               f"{'never' if r.steps_to_target is None else r.steps_to_target:>14}"
               for r in runs]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    (out / "timings.csv").write_text(
+        TIMINGS_CSV_HEADER + "\n" + "".join(_timings_row(r) + "\n" for r in runs))
     print("\n".join(lines))
     print(f"-> {out}")
     return 0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, LongCtxError, UsageError
 from .words import CLASS_WORDS, DISTRACTOR_POOL, SIGNATURE_POOL
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ def read_json_lines(path, what: str, build) -> list:
     split on newlines only, so a U+2028 or U+0085 inside a string stays in
     its line; blank lines are skipped.  An unreadable file, a line that is
     not a UTF-8 JSON object, or a ``KeyError``/``ValueError``/``TypeError``
-    from ``build`` raises a ``DataError`` naming the file and the line.
+    or ``LongCtxError`` from ``build`` (a record's own validation) raises a
+    ``DataError`` naming the file and the line.
     """
     try:
         lines = Path(path).read_bytes().split(b"\n")
@@ -101,7 +102,7 @@ def read_json_lines(path, what: str, build) -> list:
             continue
         try:
             out.append(build(_json_object(line)))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, LongCtxError) as exc:
             raise DataError(f"{path} line {lineno}: malformed {what} ({exc})") from exc
     return out
 
@@ -142,12 +143,25 @@ def save_corpus(corpus: PairedCorpus, path, format: str = "records",
         raise UsageError(f"unknown corpus format {format!r}")
 
 
+def _corpus_from(path: Path, records: list[CorpusRecord]) -> PairedCorpus:
+    try:
+        return PairedCorpus(records)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _context_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"context must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_records(path: Path) -> PairedCorpus:
-    return PairedCorpus(read_json_lines(path, "record", lambda obj: CorpusRecord(
+    return _corpus_from(path, read_json_lines(path, "record", lambda obj: CorpusRecord(
         id=str(obj["id"]),
         image=np.asarray(obj["image"], dtype=np.float64),
         caption=str(obj["caption"]),
-        context=obj.get("context", {}),
+        context=_context_object(obj.get("context", {})),
     )))
 
 
@@ -207,7 +221,7 @@ def _load_shards(path: Path) -> PairedCorpus:
                 raise DataError(f"{shard}: member {base!r} is missing its .{missing} half")
             records.append(CorpusRecord(id=base, image=parts["npy"], caption=parts["txt"],
                                         context=parts.get("json", {})))
-    return PairedCorpus(records)
+    return _corpus_from(path, records)
 
 
 def _save_shards(corpus: PairedCorpus, path: Path, shard_size: int) -> None:

@@ -69,3 +69,13 @@ def test_verdict_counts_a_failed_run_as_not_better():
     pairs = pairs_of(WIDE, [5.0] * 10)
     pairs[0]["change"] = {"seed": 0, "error": "exit 1"}
     assert bench.summarize(pairs, "command_s", "lower", bound=0.25)["verdict"] == "unresolved"
+
+
+def test_a_layer_one_side_could_not_see_is_not_observed():
+    # the change traces no step times (its training ran in worker processes)
+    pairs = pairs_of([12.0, 11.0, 13.0], [0.0, 0.0, 0.0], "trainer.step_ms.77")
+    s = bench.summarize_layer(pairs, "trainer.step_ms.77")
+    assert s["base"]["median"] == 12.0 and s["change"] == "not_observed"
+    # a 0 beside a 0 is a reading, and so is every value of a side that sees the layer
+    s = bench.summarize_layer(pairs_of([0.0, 2.0], [0.0, 3.0], "m"), "m")
+    assert s["base"]["median"] == 1.0 and s["change"]["median"] == 1.5

@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +22,13 @@ from longctx.encoders import (
 from longctx.errors import DataError
 from longctx.evaluation import recall_pair, write_zero_shot_records
 from longctx.longcap import write_caption_records
-from longctx.tokenizer import load_vocab, save_vocab, train_bpe
+from longctx.tokenizer import (
+    corpus_token_stats,
+    format_waste_report,
+    load_vocab,
+    save_vocab,
+    train_bpe,
+)
 from longctx.trainer import TrainConfig, train
 
 
@@ -72,6 +83,18 @@ def test_tokenize_stats_reports_a_short_vocabulary(tmp_path, small_corpus_file, 
                 "--vocab-size", "300", "--out", str(full)]) == 0
     assert "vocab_size" not in (full / "report.txt").read_text()
     assert "ids asked for" not in capsys.readouterr().out
+
+
+def test_tokenize_stats_captions_split_on_newlines_only(tmp_path):
+    # a raw U+2028 or U+0085 stays inside its caption; CRLF lines still read
+    captions = ["one two\u2028three four", "five\u0085six seven", "eight nine"]
+    path = tmp_path / "captions.txt"
+    path.write_bytes((captions[0] + "\r\n" + captions[1] + "\n\n" + captions[2]).encode())
+    out = tmp_path / "stats"
+    assert run(["tokenize-stats", "--captions", str(path), "--vocab-size", "300",
+                "--out", str(out)]) == 0
+    expected = corpus_token_stats(train_bpe(captions, 300), captions, 77)
+    assert (out / "report.txt").read_text().startswith(format_waste_report(expected))
 
 
 def test_tokenize_stats_requires_input(tmp_path, capsys):
@@ -181,6 +204,91 @@ def test_ablate_deterministic(tmp_path, small_corpus_file):
     summary = (out1 / "summary.txt").read_text().splitlines()
     assert summary[0].split() == ["context", "R@1(t2i)", "R@1(i2t)", "steps_to_lnB/2"]
     assert [row.split()[0] for row in summary[1:]] == ["8", "16"]
+
+
+TINY_ABLATE = ["--batch-size", "10", "--max-epochs", "1", "--vocab-size", "300",
+               "--embed-dim", "16", "--num-layers", "1", "--num-heads", "2",
+               "--output-dim", "8", "--hidden-dim", "16", "--seed", "5"]
+
+
+def test_ablate_writes_timings_in_contexts_order(tmp_path, small_corpus_file):
+    out = tmp_path / "ab"
+    assert run(["ablate", "--corpus", str(small_corpus_file), "--contexts", "16,8,12",
+                *TINY_ABLATE, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "timings.csv").read_text().splitlines()]
+    assert rows[0] == ["context", "steps", "train_s", "step_ms_p50", "step_ms_p95",
+                       "worker_peak_rss_mb"]
+    assert [row[0] for row in rows[1:]] == ["16", "8", "12"]
+    assert all(row[1] == "3" and float(row[2]) > 0 and float(row[5]) > 0 for row in rows[1:])
+    assert multiprocessing.active_children() == []
+
+
+def test_ablation_pool_equals_an_in_process_loop(small_corpus_file):
+    cfg = {key: default for key, (_, default, _) in cli.SCHEMAS["ablate"].items()}
+    cfg.update(batch_size=10, max_epochs=2, vocab_size=300, embed_dim=16, num_layers=1,
+               num_heads=2, output_dim=8, hidden_dim=16, seed=5, dtype="float32")
+    corpus = load_corpus(small_corpus_file)
+    vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
+    contexts, ks = [16, 8, 12], (1, 5)
+    pooled = cli.run_ablation(cfg, corpus, vocab, contexts, ks)
+    assert multiprocessing.active_children() == []
+    looped = [cli._ablation_run(cfg, corpus, vocab, c, ks) for c in contexts]
+    assert [r.context for r in pooled] == contexts
+    for p, q in zip(pooled, looped):
+        assert [(x.step, x.loss, x.lr) for x in p.curve] == [(x.step, x.loss, x.lr)
+                                                             for x in q.curve]
+        assert p.steps_to_target == q.steps_to_target
+        for a, b in ((p.t2i, q.t2i), (p.i2t, q.i2t)):
+            assert a.recalls == b.recalls and a.capped_ks == b.capped_ks
+            np.testing.assert_array_equal(a.ranks, b.ranks)
+
+
+def test_workers_load_numpy_at_one_blas_thread_and_the_parent_keeps_its_env(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    pool = cli._worker_pool(1)
+    try:
+        seen = pool.map(os.getenv, cli._BLAS_THREAD_VARS)
+    finally:
+        pool.close()
+        pool.join()
+    assert seen == ["1", "1", "1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
+
+
+def test_ablate_error_in_a_worker_is_one_line(tmp_path, small_corpus_file, capsys):
+    # context 2 leaves no room for BOS and EOS: the worker that trains it raises
+    capsys.readouterr()
+    assert run(["ablate", "--corpus", str(small_corpus_file), "--contexts", "2,16",
+                *TINY_ABLATE, "--out", str(tmp_path / "ab")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("longctx ablate: error: ") and err.count("\n") == 1, err
+    assert "context_length" in err
+    assert multiprocessing.active_children() == []
+
+
+def _running(pid: int) -> bool:
+    # a zombie has exited; it only waits for whoever adopted it to reap it
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+def test_idle_workers_exit_when_their_parent_is_killed():
+    script = ("import time; from longctx import cli; pool = cli._worker_pool(2); "
+              "print(*[w.pid for w in pool._pool], flush=True); time.sleep(60)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env)
+    pids = [int(pid) for pid in proc.stdout.readline().split()]
+    assert len(pids) == 2 and all(_running(pid) for pid in pids)
+    proc.kill()
+    proc.wait()
+    deadline = time.monotonic() + 10.0
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not any(_running(pid) for pid in pids)
 
 
 def test_eval_retrieval_keeps_checkpoint_dtype(tmp_path, small_corpus_file, monkeypatch):

@@ -153,6 +153,38 @@ def test_raw_line_separators_stay_inside_their_string(tmp_path, reader):
     assert field(read(path)) == SEPARATED
 
 
+def test_record_validation_error_names_file_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(_line({"id": "a", "caption": "ok"}) + _line({"id": "x", "caption": ""}))
+    with pytest.raises(DataError, match=re.escape(f"{path} line 2: malformed caption record")):
+        read_caption_records(path)
+
+
+@pytest.mark.parametrize("format", ["records", "shards"])
+def test_duplicate_id_in_a_file_names_the_file(tmp_path, format):
+    path = tmp_path / "in.jsonl"
+    rec = {"id": "a", "image": [0.0], "caption": "c"}
+    path.write_bytes(_line(rec) + _line(rec))
+    if format == "shards":
+        # two shards, each with record 'a'
+        path = tmp_path / "shards"
+        for i in range(2):
+            save_corpus(small_corpus(n=1), path / f"{i}", format="shards")
+            (path / f"{i}" / "shard-00000.tar").rename(path / f"s{i}.tar")
+    with pytest.raises(DataError, match=re.escape(f"{path}: duplicate record id")):
+        load_corpus(path, format=format)
+
+
+@pytest.mark.parametrize("context", [5, "k", [1], None])
+def test_record_context_must_be_an_object(tmp_path, context):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_line({"id": "a", "image": [0.0], "caption": "c"})
+                     + _line({"id": "b", "image": [0.0], "caption": "c", "context": context}))
+    with pytest.raises(DataError, match=re.escape(f"{path} line 2: malformed record") +
+                       ".*context must be a JSON object"):
+        load_corpus(path)
+
+
 def _npy(array) -> bytes:
     buf = io.BytesIO()
     np.save(buf, array)
