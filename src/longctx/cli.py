@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,17 +34,10 @@ from .data import (
     generate_synthetic,
     load_articles,
     load_corpus,
+    parse_config_file,
     read_text,
     save_corpus,
     write_benchmark_manifest,
-)
-from .encoders import (
-    ImageEncoderConfig,
-    TextEncoderConfig,
-    TrainedModel,
-    checkpoint_vocab_fingerprint,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .errors import DataError, LongCtxError, UsageError
 from .evaluation import (
@@ -74,14 +68,12 @@ from .tokenizer import (
     vocab_fingerprint,
     waste_report_csv_row,
 )
-from .trainer import (
-    LossPoint,
-    TrainConfig,
-    parse_config_file,
-    steps_to_loss,
-    train,
-    write_loss_curve,
-)
+
+# training and checkpoints load numerics, encoders and the trainer: the
+# commands that need them import them when they run
+if TYPE_CHECKING:
+    from .encoders import TrainedModel
+    from .trainer import LossPoint, TrainConfig
 
 ENV_PREFIX = "LONGCTX_"
 
@@ -266,6 +258,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _train_config(cfg: dict, context_length: int, seed: int) -> TrainConfig:
+    from .trainer import TrainConfig
+
     return TrainConfig(
         context_length=context_length,
         batch_size=cfg["batch_size"],
@@ -281,6 +275,8 @@ def _train_config(cfg: dict, context_length: int, seed: int) -> TrainConfig:
 
 
 def _encoder_configs(cfg: dict, context_length: int, vocab_size: int, image_dim: int):
+    from .encoders import ImageEncoderConfig, TextEncoderConfig
+
     text_cfg = TextEncoderConfig(
         context_length=context_length, vocab_size=vocab_size,
         embed_dim=cfg["embed_dim"], num_layers=cfg["num_layers"],
@@ -304,6 +300,8 @@ class AblationRun:
 
 def _ablation_run(cfg: dict, corpus, vocab, context: int, ks) -> AblationRun:
     """One context of the ablation: train, then score retrieval both ways."""
+    from .trainer import steps_to_loss, train
+
     train_cfg = _train_config(cfg, context, cfg["seed"])
     text_cfg, img_cfg = _encoder_configs(cfg, context, vocab.size, corpus.image_dim)
     start = time.perf_counter()
@@ -324,6 +322,8 @@ def _ablation_job(job):
 
 # read once, when a process loads its BLAS library
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# how often a wait for the next run checks that no worker has died
+_WORKER_POLL_S = 0.1
 
 
 def _worker_pool(workers: int):
@@ -360,15 +360,32 @@ def run_ablation(cfg: dict, corpus, vocab, contexts, ks) -> list[AblationRun]:
     out first, so it runs alone while the shorter ones share the other
     workers.  The runs come back in ``contexts`` order and equal a loop of
     ``_ablation_run`` in this process bit for bit.  An error in a worker is
-    raised here as itself, and no worker outlives the call."""
+    raised here as itself, a worker that dies (killed, say) is a
+    ``LongCtxError``, and no worker outlives the call."""
+    import multiprocessing
+
     workers = min(len(contexts), len(os.sched_getaffinity(0)))
     longest_first = sorted(range(len(contexts)), key=lambda i: -contexts[i])
     jobs = [(i, (cfg, corpus, vocab, contexts[i], ks)) for i in longest_first]
     runs = [None] * len(contexts)
     pool = _worker_pool(workers)
+    # ``Pool`` replaces a dead worker but never reports the job it lost, so
+    # the wait watches the workers it started: none exits before the pool
+    # is closed unless it died
+    started = list(pool._pool)
     try:
-        for index, run in pool.imap_unordered(_ablation_job, jobs):
-            runs[index] = run
+        results = pool.imap_unordered(_ablation_job, jobs)
+        while None in runs:
+            try:
+                index, run = results.next(timeout=_WORKER_POLL_S)
+            except multiprocessing.TimeoutError:
+                code = next((w.exitcode for w in started if w.exitcode is not None), None)
+                if code is not None:
+                    left = ",".join(str(c) for c, r in zip(contexts, runs) if r is None)
+                    raise LongCtxError(f"an ablation worker exited with code {code}; "
+                                       f"contexts {left} did not finish") from None
+            else:
+                runs[index] = run
     except BaseException:
         pool.terminate()
         raise
@@ -428,6 +445,9 @@ def cmd_make_synthetic(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
+    from .encoders import save_checkpoint
+    from .trainer import train, write_loss_curve
+
     corpus = load_corpus(_require_input(cfg, "corpus"))
     out = prepare_out_dir("train", cfg)
     train_cfg = _train_config(cfg, cfg["context_length"], cfg["seed"])
@@ -445,6 +465,8 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _load_model(cfg: dict) -> TrainedModel:
+    from .encoders import TrainedModel, checkpoint_vocab_fingerprint, load_checkpoint
+
     checkpoint, vocab_dir = _require_input(cfg, "checkpoint"), _require_input(cfg, "vocab")
     text_cfg, img_cfg, params, log_scale = load_checkpoint(checkpoint)
     vocab = load_vocab(vocab_dir)

@@ -121,6 +121,21 @@ def read_text(path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def parse_config_file(path) -> dict[str, str]:
+    """Flat ``key = value`` file with #-comments; keys are a command's
+    option names."""
+    out = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path} line {lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key] = value
+    return out
+
+
 # -- records / shards I/O ---------------------------------------------------------
 
 

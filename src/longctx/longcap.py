@@ -18,12 +18,8 @@ import re
 import threading
 import time
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
-
-import requests
 
 from .data import json_line, read_json_lines
 from .errors import DataError, UsageError
@@ -85,6 +81,10 @@ NOT_VISUAL_MARKERS = (
     "survival", "improved", "outcome", "prognosis", "efficacy", "mortality",
     "follow-up", "response rate", "p <", "p<", "significant", "history of",
 )
+_NOT_VISUAL_RE = re.compile("|".join(map(re.escape, NOT_VISUAL_MARKERS)))
+# the mock's two verdicts, as XML attributes
+_FEASIBLE_ATTRS = 'label="FEASIBLE" rationale="directly visible in the image"'
+_NOT_FEASIBLE_ATTRS = 'label="NOT_FEASIBLE" rationale="not verifiable from the image alone"'
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,11 @@ class MockBackend(RequestLog):
         features = split_atomic_features(caption)
         rows = []
         for feat in features:
-            lowered = feat.lower()
-            if any(marker in lowered for marker in NOT_VISUAL_MARKERS):
-                label, why = "NOT_FEASIBLE", "not verifiable from the image alone"
-            else:
-                label, why = "FEASIBLE", "directly visible in the image"
-            rows.append(f"  <feature label={quoteattr(label)} "
-                        f"rationale={quoteattr(why)}>{escape(feat)}</feature>")
+            visual = _NOT_VISUAL_RE.search(feat.lower()) is None
+            attrs = _FEASIBLE_ATTRS if visual else _NOT_FEASIBLE_ATTRS
+            # XML-escaped as by xml.sax.saxutils.escape
+            text = feat.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+            rows.append(f"  <feature {attrs}>{text}</feature>")
         return "<features>\n" + "\n".join(rows) + "\n</features>"
 
     def _refine(self, prompt):
@@ -203,10 +201,23 @@ class MockBackend(RequestLog):
         return ". ".join(feasible) + "."
 
 
+# a line that is all header: no leading space, ends in a colon
+_HEADER_LINE = re.compile(r"^\S[^\n]*:$", re.MULTILINE)
+
+
 def _section(prompt: str, header: str) -> str:
-    pattern = rf"^{re.escape(header)}:\n(.*?)(?=^\S[^\n]*:$|\Z)"
-    m = re.search(pattern, prompt, flags=re.MULTILINE | re.DOTALL)
-    return m.group(1).strip() if m else ""
+    """The stripped text under the first line ``HEADER:``, up to the next
+    header line or the end of the prompt; empty if there is no such line."""
+    head = header + ":\n"
+    if prompt.startswith(head):
+        start = len(head)
+    else:
+        at = prompt.find("\n" + head)
+        if at < 0:
+            return ""
+        start = at + 1 + len(head)
+    end = _HEADER_LINE.search(prompt, start)
+    return prompt[start:end.start() if end else len(prompt)].strip()
 
 
 def split_atomic_features(caption: str) -> list[str]:
@@ -238,6 +249,8 @@ class HttpBackend(RequestLog):
         self.transport_attempts = transport_attempts
 
     def generate(self, prompt: str, image_ref: str | None = None) -> str:
+        import requests  # ~0.1 s that the mock backend never pays
+
         self._log(prompt)
         headers = {}
         token = os.environ.get(self.token_env, "")
@@ -469,6 +482,8 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
             for record in pending:
                 fresh[record.id] = handle(record)
         else:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
                 for result in pool.map(handle, pending):
                     fresh[result.id] = result
@@ -498,17 +513,17 @@ def read_caption_records(path) -> list[CaptionRecord]:
 
 def write_caption_records(records, path) -> None:
     with Path(path).open("w") as fh:
-        fh.writelines(json_line(asdict(r)) for r in records)
+        fh.writelines(json_line(vars(r)) for r in records)
 
 
 def write_output_corpus(corpus: LongCapCorpus, path) -> None:
     with Path(path).open("w") as fh:
-        fh.writelines(json_line(asdict(r)) for r in corpus.results)
+        fh.writelines(json_line(vars(r)) for r in corpus.results)
 
 
 def append_journal(fh, result: RecordResult) -> None:
     """One result line onto the open journal ``fh``, flushed to the file."""
-    fh.write(json_line(asdict(result)))
+    fh.write(json_line(vars(result)))
     fh.flush()
 
 

@@ -483,13 +483,6 @@ def _run(graph: Graph, bound: dict[str, np.ndarray], check_every_node: bool) -> 
     return Tape(graph, values, aux)
 
 
-def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Pure forward pass: returns the graph's named outputs."""
-    if not graph.outputs:
-        raise UsageError("graph declares no outputs")
-    return forward(graph, bindings).outputs
-
-
 def backward(tape: Tape, output: str | None = None, seed=None) -> dict[str, np.ndarray]:
     """Gradients of one output w.r.t. every graph input.
 
@@ -559,38 +552,3 @@ def backward(tape: Tape, output: str | None = None, seed=None) -> dict[str, np.n
             continue
         result[name] = np.zeros_like(v) if g is None else g
     return result
-
-
-def finite_difference_grad(graph: Graph, bindings: dict[str, np.ndarray],
-                           wrt: str, h: float = 1e-5,
-                           output: str | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar output w.r.t. one input.
-
-    This is the test oracle: it never touches the backward rules.
-    """
-    if h <= 0:
-        raise UsageError("h must be positive")
-    if output is None:
-        if len(graph.outputs) != 1:
-            raise UsageError("graph has multiple outputs; name one")
-        output = next(iter(graph.outputs))
-    if wrt not in graph.inputs:
-        raise UsageError(f"unknown input {wrt!r}")
-    base = np.asarray(bindings[wrt], dtype=np.float64)
-    probe = evaluate(graph, bindings)[output]
-    if probe.size != 1:
-        raise UsageError("finite differences require a scalar output")
-    grad = np.zeros_like(base)
-    flat = base.ravel()
-    gflat = grad.ravel()
-    work = dict(bindings)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        work[wrt] = base
-        hi = float(evaluate(graph, work)[output])
-        flat[i] = orig - h
-        lo = float(evaluate(graph, work)[output])
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
-    return grad

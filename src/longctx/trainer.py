@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PairedCorpus, read_text
+from .data import PairedCorpus
 from .encoders import (
     ImageEncoderConfig,
     TextEncoderConfig,
@@ -316,17 +316,3 @@ def steps_to_loss(curve: list[LossPoint], threshold: float) -> int | None:
         if p.loss <= threshold:
             return p.step
     return None
-
-
-def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` file with #-comments; keys mirror TrainConfig."""
-    out = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path} line {lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    return out

@@ -1,12 +1,16 @@
 """Shared test fixtures and oracles."""
 
 import math
+import os
+import re
+import signal
 
 import numpy as np
 
+from longctx import cli
 from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
-from longctx.numerics import LAYERNORM_EPS, _fwd, _sum_to_shape, _vjp
+from longctx.numerics import LAYERNORM_EPS, Graph, _fwd, _sum_to_shape, _vjp, forward
 from longctx.tokenizer import _CHUNK_RE, Vocab
 from longctx.trainer import ADAM_EPS, decayable
 
@@ -256,3 +260,71 @@ def eos_row_text_tower(g, cfg, batch, seq_len):
         h = g.add(h, g.add(ff, g.input(f"{p}.b2")))
     pooled = g.layer_norm(h, g.input("txt.lnf.g"), g.input("txt.lnf.b"))
     return g.l2_normalize(g.matmul(pooled, g.input("txt.proj")), name="z_txt")
+
+
+# -- numerics oracles ----------------------------------------------------------------
+
+
+def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Pure forward pass: returns the graph's named outputs."""
+    if not graph.outputs:
+        raise UsageError("graph declares no outputs")
+    return forward(graph, bindings).outputs
+
+
+def finite_difference_grad(graph: Graph, bindings: dict[str, np.ndarray],
+                           wrt: str, h: float = 1e-5,
+                           output: str | None = None) -> np.ndarray:
+    """Central-difference gradient of a scalar output w.r.t. one input.
+
+    This is the oracle of every backward rule: it never touches them.
+    """
+    if h <= 0:
+        raise UsageError("h must be positive")
+    if output is None:
+        if len(graph.outputs) != 1:
+            raise UsageError("graph has multiple outputs; name one")
+        output = next(iter(graph.outputs))
+    if wrt not in graph.inputs:
+        raise UsageError(f"unknown input {wrt!r}")
+    base = np.asarray(bindings[wrt], dtype=np.float64)
+    probe = evaluate(graph, bindings)[output]
+    if probe.size != 1:
+        raise UsageError("finite differences require a scalar output")
+    grad = np.zeros_like(base)
+    flat = base.ravel()
+    gflat = grad.ravel()
+    work = dict(bindings)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        work[wrt] = base
+        hi = float(evaluate(graph, work)[output])
+        flat[i] = orig - h
+        lo = float(evaluate(graph, work)[output])
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * h)
+    return grad
+
+
+# -- longcap and ablation stand-ins --------------------------------------------------
+
+
+def reference_section(prompt: str, header: str) -> str:
+    """Oracle for ``longcap._section``: one lazy DOTALL scan that stops at
+    the first header line (or the end of the prompt)."""
+    pattern = rf"^{re.escape(header)}:\n(.*?)(?=^\S[^\n]*:$|\Z)"
+    m = re.search(pattern, prompt, flags=re.MULTILINE | re.DOTALL)
+    return m.group(1).strip() if m else ""
+
+
+KILLED_CONTEXT = 8
+
+
+def ablation_job_killed_at_context(job):
+    """``cli._ablation_job``, except that the worker given the job for
+    ``KILLED_CONTEXT`` dies of SIGKILL, as under the OOM killer."""
+    index, args = job
+    if args[3] == KILLED_CONTEXT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index, cli._ablation_run(*args)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fixture_caption_records, unit_rows
+from helpers import evaluate, fixture_caption_records, unit_rows
 from longctx.cli import SCHEMAS, run_ablation
 from longctx.cli import run as cli_run
 from longctx.data import SyntheticSpec, generate_synthetic, save_corpus
@@ -26,7 +26,7 @@ from longctx.encoders import (
 )
 from longctx.evaluation import ZeroShotTask, permute_options, recall_pair, retrieve, zero_shot_classify
 from longctx.longcap import MockBackend, run_pipeline, write_output_corpus
-from longctx.numerics import backward, evaluate, forward
+from longctx.numerics import backward, forward
 from longctx.tokenizer import content_ids, corpus_token_stats, train_bpe
 from longctx.trainer import (
     TrainConfig,

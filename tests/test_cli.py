@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import fixture_caption_records
+from helpers import KILLED_CONTEXT, fixture_caption_records
 from longctx import cli
 from longctx.cli import run
 from longctx.data import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
@@ -30,6 +31,8 @@ from longctx.tokenizer import (
     train_bpe,
 )
 from longctx.trainer import TrainConfig, train
+
+SRC = Path(cli.__file__).parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +270,36 @@ def test_ablate_error_in_a_worker_is_one_line(tmp_path, small_corpus_file, capsy
     assert multiprocessing.active_children() == []
 
 
+def _child_env(*dirs: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, dirs)))
+
+
+def test_a_killed_worker_is_one_line_and_leaves_no_child(tmp_path, small_corpus_file):
+    # a child interpreter, so that a wait that never ends fails at the timeout
+    args = ["ablate", "--corpus", str(small_corpus_file), "--contexts", f"16,{KILLED_CONTEXT}",
+            *TINY_ABLATE, "--out", str(tmp_path / "ab")]
+    script = ("import multiprocessing, helpers; from longctx import cli; "
+              "cli._ablation_job = helpers.ablation_job_killed_at_context; "
+              f"code = cli.run({args!r}); print(code, multiprocessing.active_children())")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(SRC, Path(__file__).parent), timeout=60)
+    assert proc.stdout.split() == ["1", "[]"], proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert re.fullmatch(rf"longctx ablate: error: an ablation worker exited with code -9; "
+                        rf"contexts (16,)?{KILLED_CONTEXT} did not finish\n", proc.stderr)
+
+
+def test_cli_and_longcap_load_only_what_a_command_runs():
+    heavy = ("requests", "xml.sax", "concurrent.futures",
+             "longctx.trainer", "longctx.encoders", "longctx.numerics")
+    script = ("import sys, longctx.cli, longctx.longcap; "
+              "backend = longctx.longcap.make_backend('http://backend.test/generate'); "
+              f"print(type(backend).__name__, *[m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(SRC), timeout=60, check=True)
+    assert proc.stdout.split() == ["HttpBackend"]
+
+
 def _running(pid: int) -> bool:
     # a zombie has exited; it only waits for whoever adopted it to reap it
     try:
@@ -279,8 +312,8 @@ def _running(pid: int) -> bool:
 def test_idle_workers_exit_when_their_parent_is_killed():
     script = ("import time; from longctx import cli; pool = cli._worker_pool(2); "
               "print(*[w.pid for w in pool._pool], flush=True); time.sleep(60)")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            env=_child_env(SRC))
     pids = [int(pid) for pid in proc.stdout.readline().split()]
     assert len(pids) == 2 and all(_running(pid) for pid in pids)
     proc.kill()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import bits, eos_row_text_tower
+from helpers import bits, eos_row_text_tower, finite_difference_grad
 from longctx.encoders import (
     ImageEncoderConfig,
     TextEncoderConfig,
@@ -18,7 +18,7 @@ from longctx.encoders import (
     text_encode,
 )
 from longctx.errors import DataError, UsageError
-from longctx.numerics import Graph, backward, finite_difference_grad, forward
+from longctx.numerics import Graph, backward, forward
 from longctx.encoders import build_image_tower, build_text_tower
 from longctx.tokenizer import TokenSeq, encode, train_bpe, vocab_fingerprint
 

@@ -3,14 +3,16 @@ import dataclasses
 import io
 import json
 import os
+import random
 import sys
 import threading
 import time
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 import requests
 
-from helpers import fixture_caption_records
+from helpers import fixture_caption_records, reference_section
 from longctx.errors import DataError, UsageError
 from longctx import longcap
 from longctx.longcap import (
@@ -133,6 +135,62 @@ def test_mock_assess_labels_non_visual_claims():
         "img://1", "a dense lesion is visible; patient survival improved", backend)
     assert "a dense lesion is visible" in report.feasible()
     assert "patient survival improved" in report.not_feasible()
+
+
+def test_mock_assess_reply_is_the_saxutils_document():
+    caption = ("a < b & c > d; p< 5 with improved survival; the FOLLOW-UP scan; "
+               "a \"quoted\" 'label' &amp; more")
+    rows = []
+    for feat in split_atomic_features(caption):
+        lowered = feat.lower()
+        if any(marker in lowered for marker in longcap.NOT_VISUAL_MARKERS):
+            label, why = "NOT_FEASIBLE", "not verifiable from the image alone"
+        else:
+            label, why = "FEASIBLE", "directly visible in the image"
+        rows.append(f"  <feature label={quoteattr(label)} "
+                    f"rationale={quoteattr(why)}>{escape(feat)}</feature>")
+    prompt = longcap.ASSESS_TEMPLATE.format(caption=caption)
+    assert MockBackend().generate(prompt) == "<features>\n" + "\n".join(rows) + "\n</features>"
+    report = assess_feasibility("img://1", caption, MockBackend())
+    assert report.not_feasible() == ["p< 5 with improved survival", "the FOLLOW-UP scan"]
+
+
+SECTION_CASES = [
+    "CAPTION:\nfirst line\nsecond line\nABSTRACT:\nmore\n",       # header at the start
+    "TASK: x\nintro\nCAPTION:\n  padded  \n\nNEXT:\n",             # header in the middle
+    "TASK: x\nno such header here\n",                                # missing header
+    "xCAPTION:\nnot at a line start\n",
+    "CAPTION: inline\nnot a header line\n",
+    "CAPTION:\nkept\n  indented:\nstill kept\nends here:\ngone\n",  # a line ending in ':'
+    "CAPTION:\nkept\n:\n::\ngone\n",
+    "CAPTION:\r\ncarriage return after the header\n",
+    "CAPTION:\nkept\r\nHEAD:\r\nstill kept: \r\n",
+    "CAPTION:\ntrailing section with no next header",
+    "CAPTION:\n",
+    "CAPTION:\nNEXT:\nan empty section",
+    "intro\nCAPTION:",
+    "CAPTION:\nfirst\nCAPTION:\nsecond\n",
+    "ABSTRACT:\nCAPTION:\nafter an empty section\nX:",
+]
+
+
+@pytest.mark.parametrize("prompt", SECTION_CASES)
+def test_section_matches_the_regex(prompt):
+    assert longcap._section(prompt, "CAPTION") == reference_section(prompt, "CAPTION")
+
+
+def test_section_matches_the_regex_on_templates_and_fuzzed_prompts():
+    record = fixture_caption_records()[2]
+    prompts = [longcap.AUGMENT_TEMPLATE.format(caption=record.caption, mentions="a\nb:",
+                                               abstract=record.abstract, acronyms="CXR = x"),
+               longcap.ASSESS_TEMPLATE.format(caption="a; b"),
+               longcap.REFINE_TEMPLATE.format(caption="c", feasible="- a", not_feasible="")]
+    rng = random.Random(7)
+    pieces = ["CAPTION", "FEASIBLE", ":", "\n", "\r", " ", "a", "-", "X:"]
+    prompts += ["".join(rng.choices(pieces, k=rng.randrange(30))) for _ in range(3000)]
+    for prompt in prompts:
+        for header in ("CAPTION", "FEASIBLE", "INLINE MENTIONS", "ABSTRACT"):
+            assert longcap._section(prompt, header) == reference_section(prompt, header), prompt
 
 
 # -- step 3: refine ---------------------------------------------------------------
@@ -442,7 +500,7 @@ def scripted_http(monkeypatch):
             raise item
         return item
 
-    monkeypatch.setattr(longcap.requests, "post", post)
+    monkeypatch.setattr(requests, "post", post)  # the backend imports requests per call
     monkeypatch.setattr(longcap.time, "sleep", sleeps.append)
     return script, sleeps
 

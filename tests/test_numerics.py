@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bits, reference_fwd, reference_vjp
+from helpers import bits, evaluate, finite_difference_grad, reference_fwd, reference_vjp
 from longctx.encoders import MASK_VALUE
 from longctx.errors import NumericError, ShapeError, UsageError
 from longctx.numerics import (
@@ -11,8 +11,6 @@ from longctx.numerics import (
     _fwd,
     _vjp,
     backward,
-    evaluate,
-    finite_difference_grad,
     forward,
 )
 

@@ -8,15 +8,16 @@ from helpers import (
     bits,
     contrastive_loss,
     eos_row_text_tower,
+    finite_difference_grad,
     reference_adamw_update,
     reference_fwd,
     reference_vjp,
 )
 from longctx import cli, numerics, trainer
-from longctx.data import SyntheticSpec, generate_synthetic
+from longctx.data import SyntheticSpec, generate_synthetic, parse_config_file
 from longctx.encoders import ImageEncoderConfig, TextEncoderConfig
 from longctx.errors import DataError, NumericError, UsageError
-from longctx.numerics import backward, finite_difference_grad, forward
+from longctx.numerics import backward, forward
 from longctx.tokenizer import train_bpe
 from longctx.trainer import (
     TrainConfig,
@@ -25,7 +26,6 @@ from longctx.trainer import (
     decayable,
     effective_warmup,
     lr_schedule,
-    parse_config_file,
     steps_to_loss,
     train,
     write_loss_curve,
