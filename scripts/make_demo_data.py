@@ -7,7 +7,6 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -15,6 +14,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from longctx.data import json_line
 from longctx.longcap import CaptionRecord, write_caption_records
 
 DEMO_RECORDS = [
@@ -69,11 +69,11 @@ def main():
                     "inline_refs": [f"as discussed for figure {f}, the region "
                                     f"is marked by arrows"] if f % 2 == 0 else [],
                 })
-            fh.write(json.dumps({
+            fh.write(json_line({
                 "article_id": f"article-{a:03d}",
                 "date": f"2025-0{1 + a % 9}-15",
                 "figures": figures,
-            }) + "\n")
+            }))
 
     print(f"wrote {out / 'caption_records.jsonl'} and {out / 'articles.jsonl'}")
 

@@ -143,7 +143,6 @@ SCHEMAS = {
         "benchmark": (str, "corpus", "benchmark name for the result rows"),
         "block_size": (int, 1024, "similarity block size"),
         "out": (str, "", "output directory"),
-        "seed": (int, 0, "seed"),
     },
     "eval-zeroshot": {
         "checkpoint": (str, "", "checkpoint file"),
@@ -152,7 +151,6 @@ SCHEMAS = {
         "task": (str, "", "zero-shot task records (jsonl)"),
         "permute_seed": (int, -1, "option-permutation seed (-1: off)"),
         "out": (str, "", "output directory"),
-        "seed": (int, 0, "seed"),
     },
     "longcap": {
         "records": (str, "", "caption records (jsonl)"),
@@ -250,10 +248,10 @@ def _require_input(cfg, key, flag=None):
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad {what} list {text!r}") from exc
-    if not values:
-        raise UsageError(f"empty {what} list")
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise UsageError(f"bad {what} list {text!r}: expected integers of at least 1")
     return values
 
 

@@ -159,6 +159,8 @@ def save_corpus(corpus: PairedCorpus, path, format: str = "records",
 
 
 def _corpus_from(path: Path, records: list[CorpusRecord]) -> PairedCorpus:
+    if not records:
+        raise DataError(f"{path}: no records")
     try:
         return PairedCorpus(records)
     except DataError as exc:

@@ -28,6 +28,8 @@ from .tokenizer import TokenSeq, Vocab, encode, vocab_fingerprint
 
 MASK_VALUE = -1e9
 INIT_STD = 0.02
+ENCODE_TEXT_BATCH = 64
+ENCODE_IMAGE_BATCH = 256
 CHECKPOINT_VERSION = 1
 
 
@@ -43,6 +45,9 @@ class TextEncoderConfig:
     def __post_init__(self):
         if self.context_length < 3:
             raise UsageError("context_length must be >= 3")
+        if min(self.vocab_size, self.embed_dim, self.num_layers, self.num_heads,
+               self.output_dim) < 1:
+            raise UsageError("text encoder dims must be positive")
         if self.embed_dim % self.num_heads:
             raise UsageError("embed_dim must be divisible by num_heads")
 
@@ -281,18 +286,18 @@ class TrainedModel:
     log_scale: float
     dtype: str = "float64"
 
-    def encode_texts(self, texts: list[str], batch_size: int = 64) -> np.ndarray:
+    def encode_texts(self, texts: list[str]) -> np.ndarray:
         seqs = [encode(self.vocab, t, self.text_cfg.context_length) for t in texts]
-        chunks = [text_encode(self.params, self.text_cfg, seqs[i:i + batch_size],
+        chunks = [text_encode(self.params, self.text_cfg, seqs[i:i + ENCODE_TEXT_BATCH],
                               dtype=self.dtype)
-                  for i in range(0, len(seqs), batch_size)]
+                  for i in range(0, len(seqs), ENCODE_TEXT_BATCH)]
         return np.concatenate(chunks, axis=0)
 
-    def encode_images(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def encode_images(self, images: np.ndarray) -> np.ndarray:
         images = np.atleast_2d(np.asarray(images))
-        chunks = [image_encode(self.params, self.img_cfg, images[i:i + batch_size],
+        chunks = [image_encode(self.params, self.img_cfg, images[i:i + ENCODE_IMAGE_BATCH],
                                dtype=self.dtype)
-                  for i in range(0, len(images), batch_size)]
+                  for i in range(0, len(images), ENCODE_IMAGE_BATCH)]
         return np.concatenate(chunks, axis=0)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import json_line, read_json_lines
-from .errors import UsageError
+from .errors import DataError, UsageError
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -45,6 +45,8 @@ def retrieve(queries: np.ndarray, gallery: np.ndarray, ground_truth,
     i.  Ks beyond the gallery size are capped (and reported in
     ``capped_ks``).
     """
+    if block_size < 1:
+        raise UsageError(f"block_size must be at least 1, not {block_size}")
     queries = np.asarray(queries, dtype=np.float64)
     gallery = np.asarray(gallery, dtype=np.float64)
     ground_truth = np.asarray(ground_truth, dtype=np.int64)
@@ -158,8 +160,11 @@ def permute_options(task: ZeroShotTask, seed: int) -> ZeroShotTask:
 
 def read_zero_shot_records(path):
     """Line-delimited task records: (image ref, option list, correct index)."""
-    return read_json_lines(path, "task record", lambda obj: (
+    records = read_json_lines(path, "task record", lambda obj: (
         str(obj["image"]), tuple(str(o) for o in obj["options"]), int(obj["correct"])))
+    if not records:
+        raise DataError(f"{path}: no task records")
+    return records
 
 
 def write_zero_shot_records(records, path) -> None:

@@ -134,33 +134,24 @@ class ParseFailure(Exception):
 # -- backends --------------------------------------------------------------------
 
 
-class RequestLog:
-    """Every prompt a backend was asked for, in arrival order, across worker
-    threads.  The log supports resume and determinism assertions."""
-
-    def __init__(self):
-        self.requests: list[str] = []
-        self._lock = threading.Lock()
-
-    def _log(self, prompt: str) -> None:
-        with self._lock:
-            self.requests.append(prompt)
-
-
-class MockBackend(RequestLog):
+class MockBackend:
     """Deterministic in-process stand-in for the generation model.
 
     Responses are a pure function of (prompt, image_ref, seed): augmentation
     echoes the caption plus its context, assessment labels features by a
     fixed non-visual marker list, refinement joins the feasible features.
+    ``requests`` holds every prompt asked for, in arrival order across worker
+    threads, for resume and determinism checks.
     """
 
     def __init__(self, seed: int = 0):
-        super().__init__()
         self.seed = seed
+        self.requests: list[str] = []
+        self._lock = threading.Lock()
 
     def generate(self, prompt: str, image_ref: str | None = None) -> str:
-        self._log(prompt)
+        with self._lock:
+            self.requests.append(prompt)
         task = prompt.split("\n", 1)[0].removeprefix("TASK: ").strip()
         if task == "augment":
             return self._augment(prompt)
@@ -226,45 +217,39 @@ def split_atomic_features(caption: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-# waits before the 2nd, 3rd, ... attempt: 0.5 s, doubling, at most 8 s
+# up to three attempts, waiting 0.5 s before the second and 1 s before the third
+HTTP_ATTEMPTS = 3
 RETRY_BACKOFF_S = 0.5
-RETRY_BACKOFF_MAX_S = 8.0
+HTTP_TIMEOUT_S = 60.0
+TOKEN_ENV = "LONGCTX_BACKEND_TOKEN"
 
 
-class HttpBackend(RequestLog):
+class HttpBackend:
     """POSTs the prompt (and an opaque image reference) to a text endpoint.
 
-    Connection errors, timeouts and 5xx replies are retried after a capped
+    Connection errors, timeouts and 5xx replies are retried after an
     exponential backoff; any other failure, a 4xx reply included, is final.
     """
 
-    def __init__(self, endpoint: str, token_env: str = "LONGCTX_BACKEND_TOKEN",
-                 timeout: float = 60.0, transport_attempts: int = 3):
-        super().__init__()
-        if transport_attempts < 1:
-            raise UsageError("transport_attempts must be at least 1")
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.token_env = token_env
-        self.timeout = timeout
-        self.transport_attempts = transport_attempts
 
     def generate(self, prompt: str, image_ref: str | None = None) -> str:
         import requests  # ~0.1 s that the mock backend never pays
 
-        self._log(prompt)
         headers = {}
-        token = os.environ.get(self.token_env, "")
+        token = os.environ.get(TOKEN_ENV, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
         payload = {"prompt": prompt}
         if image_ref:
             payload["image_ref"] = image_ref
-        for attempt in range(1, self.transport_attempts + 1):
+        for attempt in range(1, HTTP_ATTEMPTS + 1):
             if attempt > 1:
-                time.sleep(min(RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_S * 2 ** (attempt - 2)))
+                time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 2))
             try:
                 resp = requests.post(self.endpoint, json=payload,
-                                     headers=headers, timeout=self.timeout)
+                                     headers=headers, timeout=HTTP_TIMEOUT_S)
                 resp.raise_for_status()
                 return resp.text
             except (requests.ConnectionError, requests.Timeout) as exc:
@@ -419,9 +404,6 @@ class LongCapCorpus:
             return 0.0
         return sum(r.status == "failed" for r in self.results) / len(self.results)
 
-    def captions(self) -> dict[str, str]:
-        return {r.id: r.caption for r in self.results if r.status == "done"}
-
 
 def process_record(record: CaptionRecord, backend) -> RecordResult:
     """All four steps for one record; failures carry the stage name."""
@@ -501,14 +483,24 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
 
 
 def read_caption_records(path) -> list[CaptionRecord]:
-    return read_json_lines(path, "caption record", lambda obj: CaptionRecord(
-        id=str(obj["id"]),
-        image_ref=str(obj.get("image_ref", "")),
-        caption=str(obj["caption"]),
-        inline_mentions=tuple(obj.get("inline_mentions", [])),
-        abstract=str(obj.get("abstract", "")),
-        acronym_map=dict(obj.get("acronym_map", {})),
-    ))
+    """The records of ``path``; a repeated id is a ``DataError`` naming its line."""
+    seen = set()
+
+    def build(obj):
+        record = CaptionRecord(
+            id=str(obj["id"]),
+            image_ref=str(obj.get("image_ref", "")),
+            caption=str(obj["caption"]),
+            inline_mentions=tuple(obj.get("inline_mentions", [])),
+            abstract=str(obj.get("abstract", "")),
+            acronym_map=dict(obj.get("acronym_map", {})),
+        )
+        if record.id in seen:
+            raise UsageError(f"duplicate record id {record.id!r}")
+        seen.add(record.id)
+        return record
+
+    return read_json_lines(path, "caption record", build)
 
 
 def write_caption_records(records, path) -> None:

@@ -159,9 +159,6 @@ class Tape:
     def outputs(self) -> dict[str, np.ndarray]:
         return {name: self.values[n.idx] for name, n in self.graph.outputs.items()}
 
-    def value(self, node: Node) -> np.ndarray:
-        return self.values[node.idx]
-
 
 def _check_finite(value, node):
     # a single-pass reduction: any NaN poisons the sum, +/-Inf survives it

@@ -12,7 +12,7 @@ from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
 from longctx.numerics import LAYERNORM_EPS, Graph, _fwd, _sum_to_shape, _vjp, forward
 from longctx.tokenizer import _CHUNK_RE, Vocab
-from longctx.trainer import ADAM_EPS, decayable
+from longctx.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, decayable
 
 
 def unit_rows(rng, n, d):
@@ -194,15 +194,15 @@ def reference_adamw_update(state, grads, lr, cfg) -> None:
     """AdamW one parameter at a time; each new parameter is written into
     place, so ``state.params`` keeps its arrays."""
     t = state.step + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for k, g in grads.items():
         m = state.m[k]
         v = state.v[k]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if decayable(k):
             update = update + cfg.weight_decay * state.params[k]

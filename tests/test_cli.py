@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -554,3 +555,73 @@ def test_bad_input_file_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
     err = capsys.readouterr().err
     assert err.startswith(f"longctx {command}: error: ") and err.count("\n") == 1, err
     assert str(paths[bad]) in err
+
+
+# -- bad argument values: one diagnostic line, not a traceback -----------------------
+
+TINY_TRAIN = ["--context-length", "16", "--batch-size", "5", "--max-epochs", "1",
+              "--vocab-size", "300", "--embed-dim", "16", "--num-layers", "1",
+              "--num-heads", "2", "--output-dim", "8", "--hidden-dim", "16"]
+MODEL = ["--checkpoint", "{checkpoint}", "--vocab", "{vocab}"]
+# (command, arguments, what the one line names); a later flag wins over TINY_TRAIN's
+BAD_ARGUMENTS = [
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--dtype", "foo"], "dtype"),
+    ("ablate", ["--corpus", "{corpus}", *TINY_TRAIN[2:], "--contexts", "16", "--dtype", "foo"],
+     "dtype"),
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--num-heads", "0"], "dims must be positive"),
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--num-layers", "0"],
+     "dims must be positive"),
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--embed-dim", "0"],
+     "dims must be positive"),
+    ("eval-retrieval", [*MODEL, "--corpus", "{corpus}", "--block-size", "0"], "block_size"),
+    ("eval-retrieval", [*MODEL, "--corpus", "{empty}"], "{empty}"),
+    ("eval-zeroshot", [*MODEL, "--corpus", "{corpus}", "--task", "{empty}"], "{empty}"),
+]
+
+
+@pytest.mark.parametrize("command, args, named", BAD_ARGUMENTS,
+                         ids=[f"{c}-{' '.join(a[-2:])}" for c, a, _ in BAD_ARGUMENTS])
+def test_bad_argument_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
+                                             command, args, named):
+    paths = dict(valid_inputs, empty=tmp_path / "empty.jsonl")
+    paths["empty"].write_text("")
+    capsys.readouterr()
+    code = run([command, *(a.format(**paths) for a in args), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"longctx {command}: error: ") and err.count("\n") == 1, err
+    assert named.format(**paths) in err
+
+
+COUNT_LISTS = [
+    ("ablate", ["--corpus", "{corpus}", "--ks", "0,-1"]),
+    ("ablate", ["--corpus", "{corpus}", "--contexts", "77,0"]),
+    ("eval-retrieval", [*MODEL, "--corpus", "{corpus}", "--ks", "0"]),
+]
+
+
+@pytest.mark.parametrize("command, args", COUNT_LISTS,
+                         ids=[f"{c}-{' '.join(a[-2:])}" for c, a in COUNT_LISTS])
+def test_count_lists_reject_values_below_one(tmp_path, capsys, valid_inputs, command, args):
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, *(a.format(**valid_inputs) for a in args), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"longctx {command}: error: bad ") and err.count("\n") == 1, err
+    assert "at least 1" in err
+    assert not out.exists()  # refused before any vocabulary, model or worker
+
+
+def test_every_train_config_field_is_a_train_option():
+    # a setting no command sets is a constant of the trainer, not a field
+    assert {f.name for f in fields(TrainConfig)} <= set(cli.SCHEMAS["train"])
+
+
+def test_demo_data_script_feeds_longcap_and_build_benchmark(tmp_path):
+    script = SRC.parent / "scripts" / "make_demo_data.py"
+    subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "demo")],
+                   check=True, capture_output=True, timeout=120)
+    assert run(["longcap", "--records", str(tmp_path / "demo" / "caption_records.jsonl"),
+                "--backend", "mock", "--out", str(tmp_path / "lc")]) == 0
+    assert run(["build-benchmark", "--articles", str(tmp_path / "demo" / "articles.jsonl"),
+                "--out", str(tmp_path / "bench")]) == 0

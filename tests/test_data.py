@@ -160,6 +160,15 @@ def test_record_validation_error_names_file_and_line(tmp_path):
         read_caption_records(path)
 
 
+def test_repeated_caption_record_id_names_file_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    rec = {"id": "a", "caption": "ok"}
+    path.write_bytes(_line(rec) + _line({"id": "b", "caption": "ok"}) + _line(rec))
+    with pytest.raises(DataError, match=re.escape(f"{path} line 3: malformed caption record")
+                       + ".*duplicate record id 'a'"):
+        read_caption_records(path)
+
+
 @pytest.mark.parametrize("format", ["records", "shards"])
 def test_duplicate_id_in_a_file_names_the_file(tmp_path, format):
     path = tmp_path / "in.jsonl"

@@ -23,7 +23,6 @@ from longctx.longcap import (
     HttpBackend,
     MockBackend,
     ParseFailure,
-    RequestLog,
     assess_feasibility,
     augment_caption,
     expand_acronyms,
@@ -490,11 +489,12 @@ def _reply(status, text="generated"):
 
 @pytest.fixture
 def scripted_http(monkeypatch):
-    """Scripts ``requests.post`` replies and records the backoff sleeps;
-    no request leaves the process."""
-    script, sleeps = [], []
+    """Scripts ``requests.post`` replies and records the prompts posted and
+    the backoff sleeps; no request leaves the process."""
+    script, sleeps, posted = [], [], []
 
     def post(url, **kwargs):
+        posted.append(kwargs["json"]["prompt"])
         item = script.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -502,46 +502,41 @@ def scripted_http(monkeypatch):
 
     monkeypatch.setattr(requests, "post", post)  # the backend imports requests per call
     monkeypatch.setattr(longcap.time, "sleep", sleeps.append)
-    return script, sleeps
+    return script, sleeps, posted
 
 
 def test_http_4xx_fails_at_once(scripted_http):
-    script, sleeps = scripted_http
+    script, sleeps, posted = scripted_http
     script += [_reply(404), _reply(200)]
     backend = HttpBackend("http://backend.test/generate")
     with pytest.raises(BackendError, match="404") as info:
         backend.generate("TASK: augment")
     assert info.value.attempts == 1
-    assert sleeps == [] and len(script) == 1
-    assert backend.requests == ["TASK: augment"]
+    assert sleeps == [] and posted == ["TASK: augment"]
 
 
 def test_http_5xx_and_connection_errors_are_retried(scripted_http):
-    script, sleeps = scripted_http
+    script, sleeps, _ = scripted_http
     script += [_reply(503), requests.ConnectionError("reset"), _reply(200, "ok")]
     backend = HttpBackend("http://backend.test/generate")
     assert backend.generate("p") == "ok"
     assert sleeps == [0.5, 1.0] and script == []
 
 
-def test_http_backoff_is_capped_and_attempts_reported(scripted_http):
-    script, sleeps = scripted_http
-    script += [requests.Timeout("slow")] * 7
-    backend = HttpBackend("http://backend.test/generate", transport_attempts=7)
-    with pytest.raises(BackendError, match="after 7 attempts") as info:
+def test_http_backoff_and_attempts_reported(scripted_http):
+    script, sleeps, posted = scripted_http
+    script += [requests.Timeout("slow")] * 4
+    backend = HttpBackend("http://backend.test/generate")
+    with pytest.raises(BackendError, match="after 3 attempts") as info:
         backend.generate("p")
-    assert info.value.attempts == 7
-    assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
-
-
-def test_http_needs_one_attempt():
-    with pytest.raises(UsageError):
-        HttpBackend("http://backend.test/generate", transport_attempts=0)
+    assert info.value.attempts == 3
+    assert sleeps == [0.5, 1.0] and posted == ["p"] * 3
 
 
 def test_request_log_keeps_every_prompt_across_threads():
-    log = RequestLog()
-    threads = [threading.Thread(target=lambda i=i: [log._log(f"{i}:{n}") for n in range(2000)])
+    log = MockBackend()
+    threads = [threading.Thread(target=lambda i=i: [log.generate(f"{i}:{n}")
+                                                    for n in range(2000)])
                for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
