@@ -41,8 +41,10 @@ from .data import (
 )
 from .errors import DataError, LongCtxError, UsageError
 from .evaluation import (
+    RETRIEVAL_BLOCK,
     RetrievalResult,
     ZeroShotTask,
+    check_block_size,
     format_retrieval_summary,
     permute_options,
     read_zero_shot_records,
@@ -141,7 +143,7 @@ SCHEMAS = {
         "corpus": (str, "", "records corpus (jsonl)"),
         "ks": (str, "1,5,10", "comma-separated recall Ks"),
         "benchmark": (str, "corpus", "benchmark name for the result rows"),
-        "block_size": (int, 1024, "similarity block size"),
+        "block_size": (int, RETRIEVAL_BLOCK, "query rows scored per block"),
         "out": (str, "", "output directory"),
     },
     "eval-zeroshot": {
@@ -283,6 +285,15 @@ def _encoder_configs(cfg: dict, context_length: int, vocab_size: int, image_dim:
         input_dim=image_dim, hidden_dim=cfg["hidden_dim"],
         num_layers=2, output_dim=cfg["output_dim"])
     return text_cfg, img_cfg
+
+
+def _check_model_configs(cfg: dict, contexts, image_dim: int) -> None:
+    """Refuse a bad training or encoder value before any output or BPE.  The
+    trained vocabulary's size is not known yet, so the requested size stands
+    in for it; the runs build their configs again with the trained one."""
+    for context in contexts:
+        _train_config(cfg, context, cfg["seed"])
+        _encoder_configs(cfg, context, cfg["vocab_size"], image_dim)
 
 
 @dataclass(frozen=True)
@@ -447,6 +458,7 @@ def cmd_train(cfg: dict) -> int:
     from .trainer import train, write_loss_curve
 
     corpus = load_corpus(_require_input(cfg, "corpus"))
+    _check_model_configs(cfg, [cfg["context_length"]], corpus.image_dim)
     out = prepare_out_dir("train", cfg)
     train_cfg = _train_config(cfg, cfg["context_length"], cfg["seed"])
     vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
@@ -481,9 +493,10 @@ def _load_model(cfg: dict) -> TrainedModel:
 
 
 def cmd_eval_retrieval(cfg: dict) -> int:
+    ks = _parse_int_list(cfg["ks"], "K")
+    check_block_size(cfg["block_size"])
     model = _load_model(cfg)
     corpus = load_corpus(_require_input(cfg, "corpus"))
-    ks = _parse_int_list(cfg["ks"], "K")
     out = prepare_out_dir("eval-retrieval", cfg)
     z_txt = model.encode_texts(corpus.captions())
     z_img = model.encode_images(corpus.images())
@@ -573,6 +586,7 @@ def cmd_ablate(cfg: dict) -> int:
     corpus = load_corpus(_require_input(cfg, "corpus"))
     contexts = _parse_int_list(cfg["contexts"], "context")
     ks = _parse_int_list(cfg["ks"], "K")
+    _check_model_configs(cfg, contexts, corpus.image_dim)
     out = prepare_out_dir("ablate", cfg)
     vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
     runs = run_ablation(cfg, corpus, vocab, contexts, ks)

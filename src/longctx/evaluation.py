@@ -19,6 +19,10 @@ from .data import json_line, read_json_lines
 from .errors import DataError, UsageError
 
 DEFAULT_KS = (1, 5, 10)
+# query rows scored per block; a block holds block x gallery float64 scores
+# and as many bools.  Of 128, 256, 512 and 1,024 rows, 256 scored an
+# 8,000-pair gallery fastest (2 CPUs, OpenBLAS 0.3.31, 2 BLAS threads)
+RETRIEVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -36,17 +40,22 @@ def _check_unit(z, what):
         raise UsageError(f"{what} embeddings are not finite unit-norm rows")
 
 
+def check_block_size(block_size: int) -> None:
+    if block_size < 1:
+        raise UsageError(f"block_size must be at least 1, not {block_size}")
+
+
 def retrieve(queries: np.ndarray, gallery: np.ndarray, ground_truth,
              ks=DEFAULT_KS, direction: str = "t2i",
-             block_size: int = 1024) -> RetrievalResult:
+             block_size: int = RETRIEVAL_BLOCK) -> RetrievalResult:
     """Rank the gallery for each query and score Recall@K.
 
     ``ground_truth[i]`` is the gallery index that counts as a hit for query
-    i.  Ks beyond the gallery size are capped (and reported in
-    ``capped_ks``).
+    i.  A query's rank is one plus the gallery items that score strictly
+    higher than its hit, plus those that score equal at a lower index.  Ks
+    beyond the gallery size are capped (and reported in ``capped_ks``).
     """
-    if block_size < 1:
-        raise UsageError(f"block_size must be at least 1, not {block_size}")
+    check_block_size(block_size)
     queries = np.asarray(queries, dtype=np.float64)
     gallery = np.asarray(gallery, dtype=np.float64)
     ground_truth = np.asarray(ground_truth, dtype=np.int64)
@@ -57,17 +66,24 @@ def retrieve(queries: np.ndarray, gallery: np.ndarray, ground_truth,
     _check_unit(queries, "query")
     _check_unit(gallery, "gallery")
 
-    n_gallery = gallery.shape[0]
-    col = np.arange(n_gallery)[None, :]
-    ranks = np.empty(queries.shape[0], dtype=np.int64)
-    for start in range(0, queries.shape[0], block_size):
-        stop = min(start + block_size, queries.shape[0])
-        sims = queries[start:stop] @ gallery.T
-        gt = ground_truth[start:stop]
-        gt_sims = sims[np.arange(stop - start), gt]
-        better = (sims > gt_sims[:, None]).sum(axis=1)
-        tied_before = ((sims == gt_sims[:, None]) & (col < gt[:, None])).sum(axis=1)
-        ranks[start:stop] = 1 + better + tied_before
+    n_queries, n_gallery = queries.shape[0], gallery.shape[0]
+    # every block reuses these two: its similarities and one comparison of
+    # each row against the row's hit
+    sims = np.empty((min(block_size, n_queries), n_gallery))
+    flags = np.empty(sims.shape, dtype=bool)
+    ranks = np.empty(n_queries, dtype=np.int64)
+    for start in range(0, n_queries, block_size):
+        stop = min(start + block_size, n_queries)
+        s, f, gt = sims[:stop - start], flags[:stop - start], ground_truth[start:stop]
+        np.matmul(queries[start:stop], gallery.T, out=s)
+        hit = s[np.arange(stop - start), gt][:, None]
+        ahead = np.count_nonzero(np.greater(s, hit, out=f), axis=1)
+        # the hit equals itself, so only a row with a second equal score has
+        # ties to count, and only those left of its hit count
+        equal = np.count_nonzero(np.equal(s, hit, out=f), axis=1)
+        for row in np.flatnonzero(equal > 1):
+            ahead[row] += np.count_nonzero(f[row, :gt[row]])
+        ranks[start:stop] = 1 + ahead
 
     recalls = {}
     capped = {}
@@ -81,7 +97,7 @@ def retrieve(queries: np.ndarray, gallery: np.ndarray, ground_truth,
 
 
 def recall_pair(image_embs: np.ndarray, text_embs: np.ndarray,
-                ks=DEFAULT_KS, block_size: int = 1024):
+                ks=DEFAULT_KS, block_size: int = RETRIEVAL_BLOCK):
     """Both retrieval directions under the one-to-one pairing convention."""
     image_embs = np.asarray(image_embs)
     text_embs = np.asarray(text_embs)

@@ -591,6 +591,7 @@ def test_bad_argument_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
     assert code == 1
     assert err.startswith(f"longctx {command}: error: ") and err.count("\n") == 1, err
     assert named.format(**paths) in err
+    assert not (tmp_path / "out").exists(), "refused before any output"
 
 
 COUNT_LISTS = [

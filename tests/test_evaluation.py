@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from longctx.errors import UsageError
 from longctx.evaluation import (
     DEFAULT_KS,
+    RETRIEVAL_BLOCK,
     RetrievalResult,
     ZeroShotTask,
     format_retrieval_summary,
@@ -25,13 +28,33 @@ def unit_rows(rng, n, d):
 
 
 def oracle_ranks(queries, gallery, ground_truth):
-    """Brute force: full similarity matrix + stable descending sort."""
-    sims = queries @ gallery.T
+    """Brute force: full float64 similarity matrix + stable descending sort."""
+    sims = np.asarray(queries, np.float64) @ np.asarray(gallery, np.float64).T
     ranks = []
     for i, gt in enumerate(ground_truth):
         order = np.argsort(-sims[i], kind="stable")
         ranks.append(int(np.nonzero(order == gt)[0][0]) + 1)
     return np.array(ranks)
+
+
+def paired_with_duplicates(seed, n=300, d=8):
+    """Float32 unit rows as the encoders return them, each text near its
+    image.  Runs of repeated pairs make hits tie with items on either side;
+    one run crosses the default block's boundary, and one list alone
+    repeats a run too."""
+    rng = np.random.default_rng(seed)
+    z_img = unit_rows(rng, n, d)
+    z_txt = z_img + 0.1 * rng.normal(size=(n, d))
+    z_txt /= np.linalg.norm(z_txt, axis=1, keepdims=True)
+    z_img, z_txt = z_img.astype(np.float32), z_txt.astype(np.float32)
+    for z in (z_img, z_txt):
+        z[10:15] = z[3]
+        z[RETRIEVAL_BLOCK - 3:RETRIEVAL_BLOCK + 3] = z[RETRIEVAL_BLOCK + 20]
+    z_txt[40:44] = z_txt[41]
+    return z_img, z_txt
+
+
+PAIRED_BLOCKS = (1, 7, RETRIEVAL_BLOCK, 300)
 
 
 def oracle_recalls(ranks, ks, n_gallery):
@@ -97,6 +120,17 @@ def test_matches_oracle_with_duplicates():
         res = retrieve(queries, gallery, gt, ks=ks)
         np.testing.assert_array_equal(res.ranks, oracle_ranks(queries, gallery, gt))
         assert res.recalls == oracle_recalls(res.ranks, ks, n_g)
+    z_img, z_txt = paired_with_duplicates(5)
+    identity = np.arange(len(z_img))
+    want = {"t2i": oracle_ranks(z_txt, z_img, identity),
+            "i2t": oracle_ranks(z_img, z_txt, identity)}
+    # each copy's hit ranks behind the equal items at lower indices
+    for ranks in want.values():
+        assert ranks[14] == 6 and ranks[RETRIEVAL_BLOCK + 20] == 7
+    for block in PAIRED_BLOCKS:
+        for res in recall_pair(z_img, z_txt, ks=(1, 5), block_size=block):
+            np.testing.assert_array_equal(res.ranks, want[res.direction])
+            assert res.recalls == oracle_recalls(res.ranks, (1, 5), len(z_img))
 
 
 def test_blocked_equals_unblocked():
@@ -107,6 +141,30 @@ def test_blocked_equals_unblocked():
     b = retrieve(q, g, gt, ks=(1, 5), block_size=10_000)
     np.testing.assert_array_equal(a.ranks, b.ranks)
     assert a.recalls == b.recalls
+    z_img, z_txt = paired_with_duplicates(9)
+    whole = recall_pair(z_img, z_txt, ks=(1, 5), block_size=10_000)
+    for block in PAIRED_BLOCKS:
+        for a, b in zip(recall_pair(z_img, z_txt, ks=(1, 5), block_size=block), whole):
+            np.testing.assert_array_equal(a.ranks, b.ranks)
+            assert a.recalls == b.recalls
+
+
+def test_recall_pair_memory_stays_within_one_block():
+    # scoring holds block x gallery float64 scores and as many bools (9.2 MB
+    # here), besides float64 copies of both lists (2 MB in all)
+    rng = np.random.default_rng(21)
+    z_img, z_txt = (unit_rows(rng, 4000, 32).astype(np.float32) for _ in range(2))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        recall_pair(z_img, z_txt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 20e6, f"recall_pair peaked at {peak / 1e6:.1f} MB"
 
 
 def test_recall_monotone_in_k():
