@@ -319,6 +319,16 @@ def reference_section(prompt: str, header: str) -> str:
 
 
 KILLED_CONTEXT = 8
+FAILING_CONTEXT = 9
+
+
+def ablation_job_failing_at_context(job):
+    """``cli._ablation_job``, except that the job for ``FAILING_CONTEXT``
+    raises a ``UsageError`` inside its worker."""
+    index, args = job
+    if args[3] == FAILING_CONTEXT:
+        raise UsageError(f"context {FAILING_CONTEXT} failed in its worker")
+    return index, cli._ablation_run(*args)
 
 
 def ablation_job_killed_at_context(job):

@@ -11,7 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import KILLED_CONTEXT, fixture_caption_records
+from helpers import (
+    FAILING_CONTEXT,
+    KILLED_CONTEXT,
+    ablation_job_failing_at_context,
+    fixture_caption_records,
+)
 from longctx import cli
 from longctx.cli import run
 from longctx.data import SyntheticSpec, generate_synthetic, load_corpus, save_corpus
@@ -260,14 +265,17 @@ def test_workers_load_numpy_at_one_blas_thread_and_the_parent_keeps_its_env(monk
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
 
 
-def test_ablate_error_in_a_worker_is_one_line(tmp_path, small_corpus_file, capsys):
-    # context 2 leaves no room for BOS and EOS: the worker that trains it raises
+def test_ablate_error_in_a_worker_is_one_line(tmp_path, small_corpus_file, capsys,
+                                             monkeypatch):
+    # every bad value is refused before the pool starts, so a stand-in job raises
+    monkeypatch.setattr(cli, "_ablation_job", ablation_job_failing_at_context)
     capsys.readouterr()
-    assert run(["ablate", "--corpus", str(small_corpus_file), "--contexts", "2,16",
+    assert run(["ablate", "--corpus", str(small_corpus_file),
+                "--contexts", f"{FAILING_CONTEXT},16",
                 *TINY_ABLATE, "--out", str(tmp_path / "ab")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("longctx ablate: error: ") and err.count("\n") == 1, err
-    assert "context_length" in err
+    assert f"context {FAILING_CONTEXT} failed in its worker" in err
     assert multiprocessing.active_children() == []
 
 
@@ -568,6 +576,8 @@ BAD_ARGUMENTS = [
     ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--dtype", "foo"], "dtype"),
     ("ablate", ["--corpus", "{corpus}", *TINY_TRAIN[2:], "--contexts", "16", "--dtype", "foo"],
      "dtype"),
+    # 2 leaves no room for BOS and EOS
+    ("ablate", ["--corpus", "{corpus}", *TINY_TRAIN[2:], "--contexts", "16,2"], "context_length"),
     ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--num-heads", "0"], "dims must be positive"),
     ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--num-layers", "0"],
      "dims must be positive"),
