@@ -15,7 +15,10 @@ other, the base first on even pairs and the change first on odd ones.
 ``--traced`` more pairs then run with ``--trace 1`` for the per-layer
 metrics.  The file holds every run's metrics and digest, each side's median
 and quartiles, the pairs won, the claim rule's verdict for every end-to-end
-metric, and the machine the runs shared.
+metric, and the machine the runs shared.  For ``ablate``, whose training runs
+in worker processes the tracer cannot see, it also holds each side's
+per-context ``train_s``, ``step_ms_p50`` and ``worker_peak_rss_mb``, read
+from the ``timings.csv`` that every untraced round leaves in its tree.
 
 The claim rule: the change wins at least nine tenths of the pairs (ties
 count for neither side), and the medians differ, in the better direction,
@@ -32,6 +35,7 @@ otherwise ``within_bound``.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -49,6 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 900
 DIGEST_RE = re.compile(r"attempted (\d+)\s+failed (\d+)\s+correct (\w+)\s+digest (\S+)")
+TIMINGS_COLUMNS = ("train_s", "step_ms_p50", "worker_peak_rss_mb")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -105,12 +110,29 @@ def run_once(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     except (IndexError, json.JSONDecodeError):
         return {"seed": seed, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-400:]}"}
     counts = DIGEST_RE.search(proc.stdout)
-    return {
+    run = {
         "seed": seed, "wall_s": round(wall, 3), "correct": summary["correct"],
         "attempted": summary["attempted"], "failed": summary["failed"],
         "digest": counts.group(4) if counts else None,
         "metrics": {m: v["value"] for m, v in summary["metrics"].items()},
     }
+    if workload == "ablate" and not trace:
+        run["contexts"] = read_timings(tree / ".perfbench_out" / f"ablate-seed{seed}-trace0")
+    return run
+
+
+def read_timings(run_dir: Path) -> dict:
+    """Per context, the median over an ``ablate`` run's rounds of each of
+    ``TIMINGS_COLUMNS``, from ``round*/ablate/timings.csv`` under ``run_dir``."""
+    values = {}
+    for path in sorted(run_dir.glob("round*/ablate/timings.csv")):
+        with path.open(newline="") as f:
+            for row in csv.DictReader(f):
+                for column in TIMINGS_COLUMNS:
+                    values.setdefault(row["context"], {}).setdefault(column, []).append(
+                        float(row[column]))
+    return {context: {column: statistics.median(v) for column, v in columns.items()}
+            for context, columns in values.items()}
 
 
 def run_pairs(trees: dict, workload: str, seeds: list[int], trace: bool) -> list[dict]:
@@ -192,6 +214,22 @@ def summarize_layer(pairs: list[dict], metric: str) -> dict:
     return out
 
 
+def summarize_contexts(pairs: list[dict]) -> dict:
+    """Per context and timings column, each side's median and quartiles over
+    the runs that ``read_timings`` read."""
+    values = {}
+    for p in pairs:
+        for side in ("base", "change"):
+            for context, columns in p[side].get("contexts", {}).items():
+                for column, value in columns.items():
+                    values.setdefault(context, {}).setdefault(column, {}).setdefault(
+                        side, []).append(value)
+    return {context: {column: {side: dict(zip(("q1", "median", "q3"), quartiles(v)))
+                               for side, v in sides.items()}
+                      for column, sides in columns.items()}
+            for context, columns in sorted(values.items(), key=lambda item: int(item[0]))}
+
+
 def machine_facts() -> dict:
     import numpy as np
 
@@ -269,6 +307,7 @@ def main() -> int:
                         "and IQR as shares of the base's median)",
         "end_to_end": {m: summarize(pairs, m, better.get(m), bounds[m]) for m in e2e},
         "per_layer_traced": {m: summarize_layer(traced, m) for m in layer_names},
+        "per_context_untraced": summarize_contexts(pairs),
         "failed_over_attempted": {
             s: [sum(p[s].get("failed", 0) for p in pairs),
                 sum(p[s].get("attempted", 0) for p in pairs)] for s in ("base", "change")},
@@ -286,6 +325,10 @@ def main() -> int:
             print(f"{m:<12} base {s['base']['median']:.4g}  change {s['change']['median']:.4g}  "
                   f"wins {s.get('wins')}/{s.get('pairs')}  claim {s.get('claim_rule_met')}  "
                   f"verdict {s.get('verdict')}")
+    for context, columns in result["per_context_untraced"].items():
+        print(f"context {context:>4} " + "  ".join(
+            f"{column} {sides['base']['median']:.4g} -> {sides['change']['median']:.4g}"
+            for column, sides in columns.items() if len(sides) == 2))
     print(f"digests equal: {result['digests_equal']}  -> {out}")
     return 0
 

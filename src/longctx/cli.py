@@ -16,6 +16,8 @@ package version into the output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import math
 import os
 import resource
@@ -55,6 +57,7 @@ from .evaluation import (
 )
 from .longcap import (
     MockBackend,
+    check_workers,
     make_backend,
     read_caption_records,
     run_pipeline,
@@ -62,6 +65,7 @@ from .longcap import (
 )
 from .tokenizer import (
     WASTE_CSV_HEADER,
+    check_cutoff,
     corpus_token_stats,
     format_waste_report,
     load_vocab,
@@ -324,91 +328,87 @@ def _ablation_run(cfg: dict, corpus, vocab, context: int, ks) -> AblationRun:
     return AblationRun(context, t2i, i2t, result.curve, steps, train_s, peak_rss_mb)
 
 
-def _ablation_job(job):
-    index, args = job
-    return index, _ablation_run(*args)
-
-
 # read once, when a process loads its BLAS library
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# how often a wait for the next run checks that no worker has died
-_WORKER_POLL_S = 0.1
 
 
-def _worker_pool(workers: int):
-    """A ``spawn`` pool whose workers load numpy with one BLAS thread.
-
-    A spawned interpreter may load numpy before any code of ours runs in it
-    (while it re-imports the parent's main module or unpickles its first
-    job), so the cap goes into this process's environment only while
-    ``Pool`` starts the workers.  A worker holds only its ends of the
-    pool's pipes, so if this process is killed, each worker exits once its
-    current job ends."""
-    import multiprocessing  # ~10 ms that no other command needs to pay
-
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        return multiprocessing.get_context("spawn").Pool(workers)
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+def _ablation_worker(conn) -> None:
+    """Answer each context sent on ``conn`` with its run or its error, until
+    the parent's end of the pipe is gone (closed, or the parent killed)."""
+    with contextlib.suppress(EOFError, BrokenPipeError):
+        run = conn.recv()  # the run function, sent once
+        while True:
+            context = conn.recv()
+            try:
+                conn.send(run(context))
+            except Exception as exc:  # the run's error, or its result's pickling error
+                conn.send(exc)
 
 
 def run_ablation(cfg: dict, corpus, vocab, contexts, ks) -> list[AblationRun]:
-    """The context-length ablation for seed ``cfg["seed"]``: one model per
-    context, trained on the corpus with the ``ablate`` knobs of ``cfg`` and
-    scored by bidirectional retrieval on the same corpus.
+    """Per context, one model trained and scored by two-way retrieval on the
+    corpus: the context-length ablation for seed ``cfg["seed"]``.
 
-    The contexts train in worker processes, one per usable CPU (at most one
-    per context), each at one BLAS thread: these GEMMs are too small to
-    split, so a second thread mostly spins.  The longest context is handed
-    out first, so it runs alone while the shorter ones share the other
-    workers.  The runs come back in ``contexts`` order and equal a loop of
-    ``_ablation_run`` in this process bit for bit.  An error in a worker is
-    raised here as itself, a worker that dies (killed, say) is a
-    ``LongCtxError``, and no worker outlives the call."""
-    import multiprocessing
+    Contexts train in ``spawn`` workers, one per usable CPU and at most one per
+    context, at one BLAS thread: these GEMMs are too small to split.  A free
+    worker gets the longest context left.  Runs come back in ``contexts`` order,
+    equal bit for bit to a loop of ``_ablation_run`` here.  A worker's error is
+    raised as itself, a dead worker is a ``LongCtxError``; none outlives the call."""
+    from multiprocessing import Pipe, connection, get_context  # ~10 ms only ablate pays
 
-    workers = min(len(contexts), len(os.sched_getaffinity(0)))
-    longest_first = sorted(range(len(contexts)), key=lambda i: -contexts[i])
-    jobs = [(i, (cfg, corpus, vocab, contexts[i], ks)) for i in longest_first]
+    todo = sorted(range(len(contexts)), key=contexts.__getitem__)  # pop() is the longest
     runs = [None] * len(contexts)
-    pool = _worker_pool(workers)
-    # ``Pool`` replaces a dead worker but never reports the job it lost, so
-    # the wait watches the workers it started: none exits before the pool
-    # is closed unless it died
-    started = list(pool._pool)
+    workers, busy = {}, {}  # this process's end of a worker's pipe -> the worker / its job
+    saved = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
     try:
-        results = pool.imap_unordered(_ablation_job, jobs)
-        while None in runs:
-            try:
-                index, run = results.next(timeout=_WORKER_POLL_S)
-            except multiprocessing.TimeoutError:
-                code = next((w.exitcode for w in started if w.exitcode is not None), None)
-                if code is not None:
+        # a spawned worker may load numpy before our code runs: it inherits the cap
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        for _ in range(min(len(contexts), len(os.sched_getaffinity(0)))):
+            pipe, worker_end = Pipe()
+            worker = get_context("spawn").Process(target=_ablation_worker, args=(worker_end,))
+            worker.start()
+            workers[pipe] = worker
+            worker_end.close()
+        for pipe in workers:  # all have started, so none waits for another's read
+            busy[pipe] = todo.pop()
+            with contextlib.suppress(BrokenPipeError):  # a dead worker shows as EOF below
+                pipe.send(functools.partial(_ablation_run, cfg, corpus, vocab, ks=ks))
+                pipe.send(contexts[busy[pipe]])
+        while busy:
+            for pipe in connection.wait(list(busy)):
+                try:
+                    result = pipe.recv()
+                except EOFError:  # spawn gave the worker its pipe end alone: it has exited
+                    workers[pipe].join()
                     left = ",".join(str(c) for c, r in zip(contexts, runs) if r is None)
-                    raise LongCtxError(f"an ablation worker exited with code {code}; "
-                                       f"contexts {left} did not finish") from None
-            else:
-                runs[index] = run
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+                    raise LongCtxError(f"an ablation worker exited with code "
+                                       f"{workers[pipe].exitcode}; contexts {left} did not "
+                                       "finish") from None
+                if isinstance(result, Exception):
+                    raise result
+                runs[busy.pop(pipe)] = result
+                if todo:
+                    busy[pipe] = todo.pop()
+                    with contextlib.suppress(BrokenPipeError):
+                        pipe.send(contexts[busy[pipe]])
+        return runs
     finally:
-        pool.join()
-    return runs
+        for var in _BLAS_THREAD_VARS:
+            os.environ.pop(var, None)
+        os.environ.update(saved)
+        for pipe in workers:
+            pipe.close()  # an idle worker reads EOF and returns
+        for worker in workers.values():
+            if None in runs:
+                worker.terminate()
+            worker.join()
 
 
 # -- commands -----------------------------------------------------------------------
 
 
 def cmd_tokenize_stats(cfg: dict) -> int:
+    check_cutoff(cfg["cutoff"])
     if cfg["corpus"]:
         captions = load_corpus(cfg["corpus"]).captions()
     elif cfg["captions"]:
@@ -544,6 +544,7 @@ def cmd_longcap(cfg: dict) -> int:
         # the in-process mock is CPU-bound: extra threads only contend for
         # the interpreter lock, while HTTP calls overlap their waiting
         cfg["workers"] = 1 if isinstance(backend, MockBackend) else 4
+    check_workers(cfg["workers"])
     out = prepare_out_dir("longcap", cfg)
     journal = Path(cfg["resume"]) if cfg["resume"] else out / "journal.jsonl"
     corpus = run_pipeline(records, backend, journal_path=journal,

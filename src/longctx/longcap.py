@@ -105,7 +105,6 @@ class CaptionRecord:
 class FeatureJudgment:
     text: str
     label: str          # FEASIBLE | NOT_FEASIBLE
-    rationale: str
 
 
 @dataclass(frozen=True)
@@ -326,8 +325,7 @@ def _parse_feature_xml(reply: str) -> FeasibilityReport:
         label = (el.get("label") or "").strip()
         if label not in ("FEASIBLE", "NOT_FEASIBLE"):
             raise DataError(f"bad feature label {label!r}")
-        judged.append(FeatureJudgment(text=(el.text or "").strip(), label=label,
-                                      rationale=(el.get("rationale") or "").strip()))
+        judged.append(FeatureJudgment(text=(el.text or "").strip(), label=label))
     if not judged:
         raise DataError("no <feature> elements found")
     return FeasibilityReport(features=tuple(judged))
@@ -395,9 +393,6 @@ class RecordResult:
 class LongCapCorpus:
     results: list[RecordResult]
 
-    def by_id(self) -> dict[str, RecordResult]:
-        return {r.id: r for r in self.results}
-
     @property
     def failure_rate(self) -> float:
         if not self.results:
@@ -422,6 +417,11 @@ def process_record(record: CaptionRecord, backend) -> RecordResult:
                         low_content=not report.feasible())
 
 
+def check_workers(max_workers: int) -> None:
+    if max_workers < 1:
+        raise UsageError(f"workers must be at least 1, not {max_workers}")
+
+
 def run_pipeline(corpus: list[CaptionRecord], backend,
                  journal_path=None, max_workers: int = 4) -> LongCapCorpus:
     """Process a corpus with at most ``max_workers`` in-flight records.
@@ -435,6 +435,7 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
     """
     if not corpus:
         raise UsageError("empty corpus")
+    check_workers(max_workers)
     seen = set()
     for rec in corpus:
         if rec.id in seen:

@@ -240,8 +240,14 @@ def decode(vocab: Vocab, ids) -> str:
     return data.decode("utf-8", errors="replace")
 
 
+def check_cutoff(cutoff: int) -> None:
+    if cutoff < 0:
+        raise UsageError(f"cutoff must be at least 0, not {cutoff}")
+
+
 def corpus_token_stats(vocab: Vocab, corpus: list[str], cutoff: int) -> TokenWasteReport:
     """Exact aggregate token-waste statistics at one content cutoff."""
+    check_cutoff(cutoff)
     if not corpus:
         raise UsageError("corpus is empty")
     lengths = sorted(len(content_ids(vocab, text)) for text in corpus)

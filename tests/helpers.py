@@ -4,6 +4,7 @@ import math
 import os
 import re
 import signal
+import time
 
 import numpy as np
 
@@ -320,21 +321,39 @@ def reference_section(prompt: str, header: str) -> str:
 
 KILLED_CONTEXT = 8
 FAILING_CONTEXT = 9
+SLEEPING_CONTEXT = 2
 
 
-def ablation_job_failing_at_context(job):
-    """``cli._ablation_job``, except that the job for ``FAILING_CONTEXT``
+def ablation_run_failing_at_context(cfg, corpus, vocab, context, ks):
+    """``cli._ablation_run``, except that the run for ``FAILING_CONTEXT``
     raises a ``UsageError`` inside its worker."""
-    index, args = job
-    if args[3] == FAILING_CONTEXT:
+    if context == FAILING_CONTEXT:
         raise UsageError(f"context {FAILING_CONTEXT} failed in its worker")
-    return index, cli._ablation_run(*args)
+    return cli._ablation_run(cfg, corpus, vocab, context, ks)
 
 
-def ablation_job_killed_at_context(job):
-    """``cli._ablation_job``, except that the worker given the job for
+def ablation_run_killed_at_context(cfg, corpus, vocab, context, ks):
+    """``cli._ablation_run``, except that the worker given the run for
     ``KILLED_CONTEXT`` dies of SIGKILL, as under the OOM killer."""
-    index, args = job
-    if args[3] == KILLED_CONTEXT:
+    if context == KILLED_CONTEXT:
         os.kill(os.getpid(), signal.SIGKILL)
-    return index, cli._ablation_run(*args)
+    return cli._ablation_run(cfg, corpus, vocab, context, ks)
+
+
+def blas_thread_vars_seen(cfg, corpus, vocab, context, ks):
+    """A stand-in run: the BLAS thread variables of its worker's environment."""
+    return [os.getenv(var) for var in cli._BLAS_THREAD_VARS]
+
+
+def context_and_start_time(cfg, corpus, vocab, context, ks):
+    """A stand-in run: its context and the monotonic clock when it began."""
+    return context, time.monotonic()
+
+
+def context_and_pid_printed(cfg, corpus, vocab, context, ks):
+    """A stand-in run: prints its context and its worker's pid; the run for
+    ``SLEEPING_CONTEXT`` then sleeps for a minute, the others return."""
+    print(context, os.getpid(), flush=True)
+    if context == SLEEPING_CONTEXT:
+        time.sleep(60)
+    return context

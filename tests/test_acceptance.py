@@ -287,6 +287,7 @@ def test_criterion_7_pipeline_determinism_and_filtering(tmp_path):
     """criterion 7: longcap pipeline determinism, filtering, resume, length gain"""
     records = fixture_caption_records()
     out_a = run_pipeline(records, MockBackend(seed=7), max_workers=4)
+    by_id = {r.id: r for r in out_a.results}
     out_b = run_pipeline(records, MockBackend(seed=7), max_workers=4)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_output_corpus(out_a, pa)
@@ -299,7 +300,7 @@ def test_criterion_7_pipeline_determinism_and_filtering(tmp_path):
     for rec in records:
         probe = MockBackend(seed=7)
         report = assess_feasibility(rec.image_ref, augment_caption(rec, probe), probe)
-        final = out_a.by_id()[rec.id].caption
+        final = by_id[rec.id].caption
         for blocked in report.not_feasible():
             assert blocked not in final
 
@@ -319,7 +320,7 @@ def test_criterion_7_pipeline_determinism_and_filtering(tmp_path):
     # mean output length exceeds mean input length (in trained BPE tokens)
     vocab = train_bpe([r.caption for r in records], vocab_size=300)
     mean_in = np.mean([len(content_ids(vocab, r.caption)) for r in records])
-    mean_out = np.mean([len(content_ids(vocab, out_a.by_id()[r.id].caption))
+    mean_out = np.mean([len(content_ids(vocab, by_id[r.id].caption))
                         for r in records])
     assert mean_out > mean_in
 

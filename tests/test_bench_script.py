@@ -79,3 +79,32 @@ def test_a_layer_one_side_could_not_see_is_not_observed():
     # a 0 beside a 0 is a reading, and so is every value of a side that sees the layer
     s = bench.summarize_layer(pairs_of([0.0, 2.0], [0.0, 3.0], "m"), "m")
     assert s["base"]["median"] == 1.0 and s["change"]["median"] == 1.5
+
+
+def write_timings(run_dir, k, rows):
+    path = run_dir / f"round{k}" / "ablate" / "timings.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text("context,steps,train_s,step_ms_p50,step_ms_p95,worker_peak_rss_mb\n"
+                    + "".join(f"{row}\n" for row in rows))
+
+
+def test_per_context_timings_are_medians_over_rounds_then_runs(tmp_path):
+    run_dir = tmp_path / ".perfbench_out" / "ablate-seed7-trace0"
+    write_timings(run_dir, 0, ["512,62,6.0,9.0,12.0,80.0", "77,62,3.0,4.0,6.0,60.0"])
+    write_timings(run_dir, 1, ["512,62,6.4,9.4,12.0,81.0", "77,62,3.2,4.2,6.0,61.0"])
+    write_timings(run_dir, 2, ["512,62,9.0,9.6,12.0,82.0", "77,62,3.1,4.1,6.0,62.0"])
+    timings = bench.read_timings(run_dir)
+    assert timings == {
+        "512": {"train_s": 6.4, "step_ms_p50": 9.4, "worker_peak_rss_mb": 81.0},
+        "77": {"train_s": 3.1, "step_ms_p50": 4.1, "worker_peak_rss_mb": 61.0}}
+    assert bench.read_timings(tmp_path / "missing") == {}
+
+    slower = {c: {k: 2 * v for k, v in row.items()} for c, row in timings.items()}
+    pairs = [{"base": {"contexts": timings}, "change": {"contexts": slower}},
+             {"base": {"contexts": slower}, "change": {"contexts": slower}},
+             {"base": {"error": "exit 1"}, "change": {"contexts": slower}}]
+    s = bench.summarize_contexts(pairs)
+    assert list(s) == ["77", "512"]  # by context length
+    assert s["512"]["train_s"]["base"] == pytest.approx({"q1": 8.0, "median": 9.6, "q3": 11.2})
+    assert s["512"]["train_s"]["change"]["median"] == 12.8
+    assert s["77"]["worker_peak_rss_mb"]["change"]["median"] == 122.0

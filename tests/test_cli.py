@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -14,7 +15,10 @@ import pytest
 from helpers import (
     FAILING_CONTEXT,
     KILLED_CONTEXT,
-    ablation_job_failing_at_context,
+    SLEEPING_CONTEXT,
+    ablation_run_failing_at_context,
+    blas_thread_vars_seen,
+    context_and_start_time,
     fixture_caption_records,
 )
 from longctx import cli
@@ -26,7 +30,7 @@ from longctx.encoders import (
     init_params,
     save_checkpoint,
 )
-from longctx.errors import DataError
+from longctx.errors import DataError, UsageError
 from longctx.evaluation import recall_pair, write_zero_shot_records
 from longctx.longcap import write_caption_records
 from longctx.tokenizer import (
@@ -255,20 +259,29 @@ def test_ablation_pool_equals_an_in_process_loop(small_corpus_file):
 def test_workers_load_numpy_at_one_blas_thread_and_the_parent_keeps_its_env(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    pool = cli._worker_pool(1)
-    try:
-        seen = pool.map(os.getenv, cli._BLAS_THREAD_VARS)
-    finally:
-        pool.close()
-        pool.join()
-    assert seen == ["1", "1", "1"]
+    monkeypatch.setattr(cli, "_ablation_run", blas_thread_vars_seen)
+    assert cli.run_ablation({}, None, None, [1, 2], ks=()) == [["1", "1", "1"]] * 2
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
+    # and when a worker's run fails
+    monkeypatch.setattr(cli, "_ablation_run", ablation_run_failing_at_context)
+    with pytest.raises(UsageError, match="failed in its worker"):
+        cli.run_ablation({}, None, None, [FAILING_CONTEXT], ks=())
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
+    assert multiprocessing.active_children() == []
+
+
+def test_a_free_worker_gets_the_longest_context_left(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "_ablation_run", context_and_start_time)
+    runs = cli.run_ablation({}, None, None, [16, 8, 12], ks=())
+    assert [context for context, _ in runs] == [16, 8, 12]
+    assert [context for context, _ in sorted(runs, key=lambda run: run[1])] == [16, 12, 8]
 
 
 def test_ablate_error_in_a_worker_is_one_line(tmp_path, small_corpus_file, capsys,
                                              monkeypatch):
-    # every bad value is refused before the pool starts, so a stand-in job raises
-    monkeypatch.setattr(cli, "_ablation_job", ablation_job_failing_at_context)
+    # every bad value is refused before the workers start, so a stand-in run raises
+    monkeypatch.setattr(cli, "_ablation_run", ablation_run_failing_at_context)
     capsys.readouterr()
     assert run(["ablate", "--corpus", str(small_corpus_file),
                 "--contexts", f"{FAILING_CONTEXT},16",
@@ -288,7 +301,7 @@ def test_a_killed_worker_is_one_line_and_leaves_no_child(tmp_path, small_corpus_
     args = ["ablate", "--corpus", str(small_corpus_file), "--contexts", f"16,{KILLED_CONTEXT}",
             *TINY_ABLATE, "--out", str(tmp_path / "ab")]
     script = ("import multiprocessing, helpers; from longctx import cli; "
-              "cli._ablation_job = helpers.ablation_job_killed_at_context; "
+              "cli._ablation_run = helpers.ablation_run_killed_at_context; "
               f"code = cli.run({args!r}); print(code, multiprocessing.active_children())")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env(SRC, Path(__file__).parent), timeout=60)
@@ -319,18 +332,30 @@ def _running(pid: int) -> bool:
 
 
 def test_idle_workers_exit_when_their_parent_is_killed():
-    script = ("import time; from longctx import cli; pool = cli._worker_pool(2); "
-              "print(*[w.pid for w in pool._pool], flush=True); time.sleep(60)")
+    # two workers: the run for 1 returns at once and leaves its worker idle,
+    # the other sleeps
+    script = ("import os, helpers; from longctx import cli; "
+              "os.sched_getaffinity = lambda pid: {0, 1}; "
+              "cli._ablation_run = helpers.context_and_pid_printed; "
+              f"cli.run_ablation({{}}, None, None, [1, {SLEEPING_CONTEXT}], ks=())")
     proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
-                            env=_child_env(SRC))
-    pids = [int(pid) for pid in proc.stdout.readline().split()]
-    assert len(pids) == 2 and all(_running(pid) for pid in pids)
-    proc.kill()
-    proc.wait()
-    deadline = time.monotonic() + 10.0
-    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
-        time.sleep(0.1)
-    assert not any(_running(pid) for pid in pids)
+                            env=_child_env(SRC, Path(__file__).parent))
+    pids = {}
+    try:
+        pids = dict(map(int, proc.stdout.readline().split()) for _ in range(2))
+        assert sorted(pids) == [1, SLEEPING_CONTEXT] and all(map(_running, pids.values()))
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        while _running(pids[1]) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(pids[1])
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if SLEEPING_CONTEXT in pids and _running(pids[SLEEPING_CONTEXT]):
+            os.kill(pids[SLEEPING_CONTEXT], signal.SIGKILL)
 
 
 def test_eval_retrieval_keeps_checkpoint_dtype(tmp_path, small_corpus_file, monkeypatch):
@@ -586,6 +611,8 @@ BAD_ARGUMENTS = [
     ("eval-retrieval", [*MODEL, "--corpus", "{corpus}", "--block-size", "0"], "block_size"),
     ("eval-retrieval", [*MODEL, "--corpus", "{empty}"], "{empty}"),
     ("eval-zeroshot", [*MODEL, "--corpus", "{corpus}", "--task", "{empty}"], "{empty}"),
+    ("tokenize-stats", ["--corpus", "{corpus}", "--cutoff", "-5"], "cutoff"),
+    ("longcap", ["--records", "{records}", "--workers", "-3"], "workers"),
 ]
 
 

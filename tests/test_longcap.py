@@ -197,7 +197,7 @@ def test_section_matches_the_regex_on_templates_and_fuzzed_prompts():
 
 def report_of(*pairs):
     return FeasibilityReport(tuple(
-        FeatureJudgment(text=t, label=l, rationale="r") for t, l in pairs))
+        FeatureJudgment(text=t, label=l) for t, l in pairs))
 
 
 def test_refine_all_feasible_keeps_content():
@@ -292,12 +292,13 @@ def test_pipeline_no_refined_caption_contains_blocked_feature():
     records = fixture_caption_records()
     backend = MockBackend(seed=1)
     out = run_pipeline(records, backend, max_workers=1)
+    by_id = {r.id: r for r in out.results}
     for rec in records:
         from longctx.longcap import assess_feasibility, augment_caption
         probe = MockBackend(seed=1)
         report = assess_feasibility(rec.image_ref,
                                     augment_caption(rec, probe), probe)
-        final = out.by_id()[rec.id].caption
+        final = by_id[rec.id].caption
         for blocked in report.not_feasible():
             assert blocked not in final
 
@@ -337,7 +338,7 @@ def test_pipeline_continues_past_single_record_failure():
     assert statuses["fix-01"] == "failed"
     assert statuses["fix-00"] == "done" and statuses["fix-02"] == "done"
     assert out.failure_rate == pytest.approx(1 / 3)
-    failed = out.by_id()["fix-01"]
+    failed = {r.id: r for r in out.results}["fix-01"]
     assert failed.stage.startswith("augment")
 
 
@@ -347,7 +348,8 @@ def test_pipeline_output_longer_than_input_on_fixture():
     out = run_pipeline(records, MockBackend(seed=7), max_workers=2)
     vocab = train_bpe([r.caption for r in records], vocab_size=300)
     inp = [len(content_ids(vocab, r.caption)) for r in records]
-    outp = [len(content_ids(vocab, out.by_id()[r.id].caption)) for r in records]
+    by_id = {r.id: r for r in out.results}
+    outp = [len(content_ids(vocab, by_id[r.id].caption)) for r in records]
     assert sum(outp) / len(outp) > sum(inp) / len(inp)
 
 
@@ -364,6 +366,8 @@ def test_pipeline_rejects_duplicates_and_empty():
     rec = simple_record()
     with pytest.raises(UsageError, match="duplicate"):
         run_pipeline([rec, rec], MockBackend())
+    with pytest.raises(UsageError, match="workers"):
+        run_pipeline([rec], MockBackend(), max_workers=0)
 
 
 def test_caption_record_files_round_trip(tmp_path):

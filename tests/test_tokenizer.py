@@ -193,6 +193,11 @@ def test_corpus_stats_nothing_truncated(vocab):
     assert report.waste_fraction == 0.0
 
 
+def test_corpus_stats_refuses_a_negative_cutoff(vocab):
+    with pytest.raises(UsageError, match="cutoff"):
+        corpus_token_stats(vocab, CORPUS, cutoff=-5)
+
+
 def test_waste_fraction_monotone_in_cutoff(vocab):
     rng = random.Random(3)
     texts = [" ".join(rng.choices(["cell", "tissue", "stain", "arrow"], k=rng.randint(1, 200)))
