@@ -334,7 +334,17 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 def _ablation_worker(conn) -> None:
     """Answer each context sent on ``conn`` with its run or its error, until
-    the parent's end of the pipe is gone (closed, or the parent killed)."""
+    the parent's end of the pipe is gone (closed, or the parent killed).  A
+    killed parent also ends a run in progress: a daemon thread exits the
+    process as soon as the parent's sentinel fires."""
+    import threading
+    from multiprocessing import connection, parent_process
+
+    def exit_with_parent():
+        connection.wait([parent_process().sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
     with contextlib.suppress(EOFError, BrokenPipeError):
         run = conn.recv()  # the run function, sent once
         while True:

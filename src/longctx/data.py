@@ -167,6 +167,14 @@ def _corpus_from(path: Path, records: list[CorpusRecord]) -> PairedCorpus:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _features(value) -> np.ndarray:
+    """Image features as float64; a NaN or an infinity is a ``ValueError``."""
+    image = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(image).all():
+        raise ValueError("image features must be finite")
+    return image
+
+
 def _context_object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"context must be a JSON object, got {type(value).__name__}")
@@ -176,7 +184,7 @@ def _context_object(value) -> dict:
 def _load_records(path: Path) -> PairedCorpus:
     return _corpus_from(path, read_json_lines(path, "record", lambda obj: CorpusRecord(
         id=str(obj["id"]),
-        image=np.asarray(obj["image"], dtype=np.float64),
+        image=_features(obj["image"]),
         caption=str(obj["caption"]),
         context=_context_object(obj.get("context", {})),
     )))
@@ -204,8 +212,7 @@ def _shard_paths(path: Path) -> list[Path]:
 
 # how each shard member's bytes become a field of its record
 _MEMBER_DECODERS = {
-    "npy": lambda raw: np.asarray(np.load(io.BytesIO(raw), allow_pickle=False),
-                                  dtype=np.float64),
+    "npy": lambda raw: _features(np.load(io.BytesIO(raw), allow_pickle=False)),
     "txt": lambda raw: raw.decode("utf-8"),
     "json": _json_object,
 }
@@ -326,7 +333,7 @@ def load_articles(path) -> list[Article]:
         article_id=str(obj["article_id"]),
         figures=tuple(
             Figure(figure_id=str(f["figure_id"]),
-                   image=np.asarray(f["image"], dtype=np.float64),
+                   image=_features(f["image"]),
                    caption=str(f["caption"]),
                    inline_refs=tuple(f.get("inline_refs", [])))
             for f in obj.get("figures", [])),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .numerics import Graph, forward
-from .tokenizer import TokenSeq, Vocab, encode, vocab_fingerprint
+from .tokenizer import Vocab, encode, vocab_fingerprint
 
 MASK_VALUE = -1e9
 INIT_STD = 0.02
@@ -207,17 +207,17 @@ def attention_mask(visible_lengths: np.ndarray, seq_len: int) -> np.ndarray:
     return np.where(blocked, MASK_VALUE, 0.0)[:, None, None, :]
 
 
-def batch_arrays(seqs: list[TokenSeq], pad_id: int, trim_to: int | None = None):
-    """Stack TokenSeqs to (ids [B, L], visible [B]); trims shared padding."""
-    visible = np.array([s.visible_length for s in seqs], dtype=np.int64)
+def batch_arrays(seqs: list[tuple[int, ...]], pad_id: int, trim_to: int | None = None):
+    """Stack visible id sequences to (ids [B, L], visible [B]), PAD-filled to
+    ``trim_to`` or else to the longest sequence."""
+    visible = np.array([len(s) for s in seqs], dtype=np.int64)
     max_vis = int(visible.max())
     width = trim_to if trim_to is not None else max_vis
     if width < max_vis:
         raise UsageError("cannot trim below the longest visible sequence")
     ids = np.full((len(seqs), width), pad_id, dtype=np.int64)
     for r, s in enumerate(seqs):
-        take = min(len(s.ids), width)
-        ids[r, :take] = s.ids[:take]
+        ids[r, :len(s)] = s
     return ids, visible
 
 
@@ -235,20 +235,16 @@ def _image_graph(cfg: ImageEncoderConfig, dtype) -> Graph:
     return g
 
 
-def text_encode(params: dict, cfg: TextEncoderConfig, seqs: list[TokenSeq],
+def text_encode(params: dict, cfg: TextEncoderConfig, seqs: list[tuple[int, ...]],
                 dtype="float64") -> np.ndarray:
-    """Unit-norm embedding per sequence, pooled from the EOS position.
-
-    Sequences must have been encoded with visible_length <= context_length;
-    trailing padding beyond the batch maximum is trimmed (it cannot affect
-    the embeddings).
-    """
+    """Unit-norm embedding per sequence of visible ids (``len(seq) <= context_length``),
+    pooled from the EOS position; the batch is padded to its longest sequence."""
     if not seqs:
         raise UsageError("empty batch")
     for s in seqs:
-        if s.visible_length > cfg.context_length:
+        if len(s) > cfg.context_length:
             raise UsageError(
-                f"sequence visible_length {s.visible_length} exceeds context "
+                f"sequence of {len(s)} visible ids exceeds context "
                 f"{cfg.context_length}; encode with the right window first")
     pad_id = cfg.vocab_size - 3
     ids, visible = batch_arrays(seqs, pad_id=pad_id)
@@ -325,7 +321,8 @@ def save_checkpoint(path, text_cfg: TextEncoderConfig, img_cfg: ImageEncoderConf
 def _read_checkpoint(path, with_params: bool):
     """The checked JSON header and, if asked for, the parameters."""
     try:
-        with np.load(path) as data:
+        # our own handle: np.load(path) leaves the file open when it raises
+        with open(path, "rb") as f, np.load(f) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             if not isinstance(meta, dict) or meta.get("format") != "longctx-checkpoint":
                 raise DataError(f"{path} is not a checkpoint file")
@@ -333,7 +330,8 @@ def _read_checkpoint(path, with_params: bool):
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
             params = {k[len("param/"):]: data[k] for k in data.files
                       if with_params and k.startswith("param/")}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    # TypeError: a plain .npy file loads as an array, not an archive
+    except (OSError, EOFError, TypeError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
     return meta, params
 

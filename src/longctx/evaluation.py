@@ -11,11 +11,10 @@ candidate answer and pick the most similar one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import json_line, read_json_lines
+from .data import read_json_lines
 from .errors import DataError, UsageError
 
 DEFAULT_KS = (1, 5, 10)
@@ -181,13 +180,6 @@ def read_zero_shot_records(path):
     if not records:
         raise DataError(f"{path}: no task records")
     return records
-
-
-def write_zero_shot_records(records, path) -> None:
-    with Path(path).open("w") as fh:
-        fh.writelines(json_line({"image": image_ref, "options": list(options),
-                                 "correct": int(correct)})
-                      for image_ref, options, correct in records)
 
 
 RETRIEVAL_CSV_HEADER = "benchmark,direction,K,recall"

@@ -335,8 +335,8 @@ def refine_caption(caption: str, report: FeasibilityReport, backend,
                    image_ref: str | None = None) -> str:
     """Step 3: rewrite keeping FEASIBLE features only, with one retry.
 
-    The reply is validated: no NOT_FEASIBLE feature text may appear
-    verbatim.
+    The reply is validated: it must not be blank, and no NOT_FEASIBLE
+    feature text may appear verbatim.
     """
     if not report.features:
         raise UsageError("feasibility report is empty")
@@ -346,14 +346,20 @@ def refine_caption(caption: str, report: FeasibilityReport, backend,
         not_feasible="\n".join(f"- {t}" for t in report.not_feasible()),
     )
     reply = backend.generate(prompt, image_ref).strip()
-    blocked = [t for t in report.not_feasible() if t and t in reply]
-    if blocked:
+    if _refine_fault(reply, report):
         reply = backend.generate(prompt + REPAIR_SUFFIX, image_ref).strip()
-        blocked = [t for t in report.not_feasible() if t and t in reply]
-        if blocked:
-            raise ParseFailure(
-                f"refined caption still contains blocked features: {blocked[:2]}")
+        fault = _refine_fault(reply, report)
+        if fault:
+            raise ParseFailure(fault)
     return reply
+
+
+def _refine_fault(reply: str, report: FeasibilityReport) -> str:
+    """Why a stripped refine reply is unusable, or "" when it is usable."""
+    if not reply:
+        return "refined caption is blank"
+    blocked = [t for t in report.not_feasible() if t and t in reply]
+    return f"refined caption still contains blocked features: {blocked[:2]}" if blocked else ""
 
 
 _ACRO_CACHE: dict = {}

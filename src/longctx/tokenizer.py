@@ -5,10 +5,11 @@ Text is pre-chunked so that whitespace sticks to the following word
 plain concatenation and makes word-level token counts predictable.  Training
 works on the chunk-frequency table, so it is fast even for large vocabularies.
 
-Length accounting convention (documented in every report): ``full_length``
-counts *content* tokens only.  BOS/EOS occupy two slots of the context
-window, so a window of L holds at most L-2 content tokens.  Corpus-level
-waste statistics compare content lengths against the cutoff directly.
+Length accounting convention (documented in every report): lengths count
+*content* tokens only.  BOS/EOS occupy two slots of the context window, so a
+window of L holds at most L-2 content tokens, and ``encode`` returns only the
+visible ids.  Corpus-level waste statistics compare content lengths against
+the cutoff directly.
 """
 
 from __future__ import annotations
@@ -50,20 +51,6 @@ class Vocab:
         ranks = {pair: i for i, pair in enumerate(self.merges)}
         object.__setattr__(self, "_ranks", ranks)
         object.__setattr__(self, "_chunk_cache", {})
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    """Encoded text: padded ids plus truncation bookkeeping.
-
-    ``full_length`` is the content-token count before truncation;
-    ``visible_length`` includes BOS and EOS.
-    """
-
-    ids: tuple[int, ...]
-    full_length: int
-    visible_length: int
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -213,24 +200,14 @@ def content_ids(vocab: Vocab, text: str) -> list[int]:
     return out
 
 
-def encode(vocab: Vocab, text: str, context_length: int) -> TokenSeq:
-    """Encode to BOS + content + EOS, PAD-filled to ``context_length``.
+def encode(vocab: Vocab, text: str, context_length: int) -> tuple[int, ...]:
+    """The visible ids: BOS + content + EOS, content cut at ``context_length - 2``.
 
-    Content beyond ``context_length - 2`` is cut and recorded via
-    ``full_length``/``truncated``; the last visible token is always EOS.
+    The last id is always EOS; no PAD is added.
     """
     if context_length < 3:
         raise UsageError(f"context_length must be >= 3, got {context_length}")
-    content = content_ids(vocab, text)
-    full = len(content)
-    capacity = context_length - 2
-    visible_content = content[:capacity]
-    truncated = full > capacity
-    ids = [vocab.bos_id] + visible_content + [vocab.eos_id]
-    visible = len(ids)
-    ids.extend([vocab.pad_id] * (context_length - visible))
-    return TokenSeq(ids=tuple(ids), full_length=full,
-                    visible_length=visible, truncated=truncated)
+    return (vocab.bos_id, *content_ids(vocab, text)[:context_length - 2], vocab.eos_id)
 
 
 def decode(vocab: Vocab, ids) -> str:

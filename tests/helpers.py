@@ -5,10 +5,12 @@ import os
 import re
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 
 from longctx import cli
+from longctx.data import json_line
 from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
 from longctx.numerics import LAYERNORM_EPS, Graph, _fwd, _sum_to_shape, _vjp, forward
@@ -311,6 +313,14 @@ def finite_difference_grad(graph: Graph, bindings: dict[str, np.ndarray],
 # -- longcap and ablation stand-ins --------------------------------------------------
 
 
+def write_zero_shot_records(records, path) -> None:
+    """The task file ``evaluation.read_zero_shot_records`` reads."""
+    with Path(path).open("w") as fh:
+        fh.writelines(json_line({"image": image_ref, "options": list(options),
+                                 "correct": int(correct)})
+                      for image_ref, options, correct in records)
+
+
 def reference_section(prompt: str, header: str) -> str:
     """Oracle for ``longcap._section``: one lazy DOTALL scan that stops at
     the first header line (or the end of the prompt)."""
@@ -353,7 +363,9 @@ def context_and_start_time(cfg, corpus, vocab, context, ks):
 def context_and_pid_printed(cfg, corpus, vocab, context, ks):
     """A stand-in run: prints its context and its worker's pid; the run for
     ``SLEEPING_CONTEXT`` then sleeps for a minute, the others return."""
-    print(context, os.getpid(), flush=True)
+    # one write per line: both workers share the pipe, and with
+    # PYTHONUNBUFFERED set print() writes its pieces one at a time
+    os.write(1, f"{context} {os.getpid()}\n".encode())
     if context == SLEEPING_CONTEXT:
         time.sleep(60)
     return context

@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from helpers import (
     blas_thread_vars_seen,
     context_and_start_time,
     fixture_caption_records,
+    write_zero_shot_records,
 )
 from longctx import cli
 from longctx.cli import run
@@ -31,7 +34,7 @@ from longctx.encoders import (
     save_checkpoint,
 )
 from longctx.errors import DataError, UsageError
-from longctx.evaluation import recall_pair, write_zero_shot_records
+from longctx.evaluation import recall_pair
 from longctx.longcap import write_caption_records
 from longctx.tokenizer import (
     corpus_token_stats,
@@ -331,9 +334,10 @@ def _running(pid: int) -> bool:
     return "\nState:\tZ" not in status
 
 
-def test_idle_workers_exit_when_their_parent_is_killed():
-    # two workers: the run for 1 returns at once and leaves its worker idle,
-    # the other sleeps
+def _worker_exits_when_its_parent_is_killed(watched: int) -> bool:
+    """Two workers: the run for 1 returns at once and leaves its worker idle,
+    the other sleeps a minute.  Kill their parent; is the worker given
+    ``watched`` gone within 10 s?  Any worker left is killed on the way out."""
     script = ("import os, helpers; from longctx import cli; "
               "os.sched_getaffinity = lambda pid: {0, 1}; "
               "cli._ablation_run = helpers.context_and_pid_printed; "
@@ -347,15 +351,25 @@ def test_idle_workers_exit_when_their_parent_is_killed():
         proc.kill()
         proc.wait()
         deadline = time.monotonic() + 10.0
-        while _running(pids[1]) and time.monotonic() < deadline:
+        while _running(pids[watched]) and time.monotonic() < deadline:
             time.sleep(0.1)
-        assert not _running(pids[1])
+        return not _running(pids[watched])
     finally:
         proc.kill()
         proc.wait()
         proc.stdout.close()
-        if SLEEPING_CONTEXT in pids and _running(pids[SLEEPING_CONTEXT]):
-            os.kill(pids[SLEEPING_CONTEXT], signal.SIGKILL)
+        for pid in pids.values():
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_idle_workers_exit_when_their_parent_is_killed():
+    assert _worker_exits_when_its_parent_is_killed(1)
+
+
+def test_busy_workers_exit_when_their_parent_is_killed():
+    # the sleeping run does not end on its own for a minute
+    assert _worker_exits_when_its_parent_is_killed(SLEEPING_CONTEXT)
 
 
 def test_eval_retrieval_keeps_checkpoint_dtype(tmp_path, small_corpus_file, monkeypatch):
@@ -526,11 +540,13 @@ COMMAND_INPUTS = [
     ("build-benchmark", ("articles", "config")),
     ("ablate", ("corpus", "config")),
 ]
-# every input holds non-UTF-8 bytes once; a checkpoint or corpus is also cut in half
+# every input holds non-UTF-8 bytes once; a checkpoint or corpus is also cut in
+# half, and a corpus or articles file gets a NaN image feature on its line 1
+DAMAGED = {"half-length": ("checkpoint", "corpus"), "non-finite": ("corpus", "articles")}
 SWEEP = [(command, inputs, bad, damage)
          for command, inputs in COMMAND_INPUTS for bad in inputs
-         for damage in ("non-utf8", "half-length")
-         if damage == "non-utf8" or bad in ("checkpoint", "corpus")]
+         for damage in ("non-utf8", "half-length", "non-finite")
+         if damage == "non-utf8" or bad in DAMAGED[damage]]
 
 
 @pytest.fixture(scope="module")
@@ -572,6 +588,12 @@ def test_bad_input_file_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
         raw = paths[bad].read_bytes()
         paths[bad] = tmp_path / paths[bad].name
         paths[bad].write_bytes(raw[:len(raw) // 2])
+    elif damage == "non-finite":
+        first, *rest = paths[bad].read_text().splitlines()
+        obj = json.loads(first)
+        (obj["figures"][0] if bad == "articles" else obj)["image"][0] = float("nan")
+        paths[bad] = tmp_path / paths[bad].name
+        paths[bad].write_text("\n".join([json.dumps(obj), *rest]) + "\n")
     elif bad == "vocab":
         paths[bad] = tmp_path / "vocab"
         paths[bad].mkdir()
@@ -584,10 +606,17 @@ def test_bad_input_file_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
     for key in inputs:
         args += [f"--{key}", str(paths[key])]
     capsys.readouterr()
-    assert run(args) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(args) == 1
+        gc.collect()
     err = capsys.readouterr().err
     assert err.startswith(f"longctx {command}: error: ") and err.count("\n") == 1, err
     assert str(paths[bad]) in err
+    if damage == "non-finite":
+        assert "line 1" in err and "finite" in err
+    # every file the command opened is closed on the error path too
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 # -- bad argument values: one diagnostic line, not a traceback -----------------------

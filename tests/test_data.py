@@ -204,7 +204,8 @@ def _npy(array) -> bytes:
     ("r.txt", b"caption \xff\xfe"),
     ("r.npy", _npy(np.arange(6.0))[:-20]),
     ("r.json", b"{not json"),
-], ids=["non-utf8-txt", "truncated-npy", "bad-json"])
+    ("r.npy", _npy(np.array([0.0, np.inf, 1.0]))),
+], ids=["non-utf8-txt", "truncated-npy", "bad-json", "non-finite-npy"])
 def test_bad_shard_member_names_shard_and_member(tmp_path, member, payload):
     members = {"r.npy": _npy(np.arange(6.0)), "r.txt": b"a caption", "r.json": b"{}"}
     members[member] = payload

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from longctx.encoders import (
     TextEncoderConfig,
     TrainedModel,
     attention_mask,
+    batch_arrays,
     checkpoint_vocab_fingerprint,
     image_encode,
     init_params,
@@ -20,7 +22,7 @@ from longctx.encoders import (
 from longctx.errors import DataError, UsageError
 from longctx.numerics import Graph, backward, forward
 from longctx.encoders import build_image_tower, build_text_tower
-from longctx.tokenizer import TokenSeq, encode, train_bpe, vocab_fingerprint
+from longctx.tokenizer import encode, train_bpe, vocab_fingerprint
 
 TEXT_CFG = TextEncoderConfig(context_length=16, vocab_size=300, embed_dim=16,
                              num_layers=2, num_heads=2, output_dim=8)
@@ -95,25 +97,20 @@ def test_text_encode_unit_norm_and_purity(vocab, params):
 
 
 def test_extra_padding_does_not_change_embedding(vocab, params):
-    text = "the cat sat on the mat"
-    short = encode(vocab, text, 12)
-    # same visible tokens, more PAD slots
-    longer = TokenSeq(ids=short.ids + (vocab.pad_id,) * 4,
-                      full_length=short.full_length,
-                      visible_length=short.visible_length,
-                      truncated=short.truncated)
-    za = text_encode(params, TEXT_CFG, [short])
-    zb = text_encode(params, TEXT_CFG, [longer])
-    np.testing.assert_allclose(za, zb, atol=1e-6)
-
-
-def test_embedding_depends_only_on_visible_tokens(vocab, params):
-    a = encode(vocab, "the cat", TEXT_CFG.context_length)
-    b = TokenSeq(ids=a.ids, full_length=999, visible_length=a.visible_length,
-                 truncated=True)
-    za = text_encode(params, TEXT_CFG, [a])
-    zb = text_encode(params, TEXT_CFG, [b])
-    np.testing.assert_array_equal(za, zb)
+    short = encode(vocab, "the cat", TEXT_CFG.context_length)
+    longer = encode(vocab, "the cat sat on the mat", TEXT_CFG.context_length)
+    # batch_arrays writes the PAD: the short row is filled to the longer width
+    ids, visible = batch_arrays([short, longer], pad_id=vocab.pad_id)
+    assert visible.tolist() == [len(short), len(longer)] and len(short) < len(longer)
+    assert ids[0].tolist() == [*short, *[vocab.pad_id] * (len(longer) - len(short))]
+    assert ids[1].tolist() == list(longer)
+    wide, _ = batch_arrays([short], pad_id=vocab.pad_id, trim_to=TEXT_CFG.context_length)
+    assert wide[0].tolist() == [*short, *[vocab.pad_id] * (TEXT_CFG.context_length - len(short))]
+    with pytest.raises(UsageError, match="trim"):
+        batch_arrays([longer], pad_id=vocab.pad_id, trim_to=len(longer) - 1)
+    alone = text_encode(params, TEXT_CFG, [short])
+    padded = text_encode(params, TEXT_CFG, [short, longer])
+    np.testing.assert_allclose(alone[0], padded[0], atol=1e-6)
 
 
 def test_text_encode_rejects_overlong(vocab, params):
@@ -306,10 +303,18 @@ def test_bad_checkpoint_header_is_data_error(tmp_path, params, edit):
         load_checkpoint(path)
 
 
+def _npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda raw: raw[:len(raw) // 2],
     lambda raw: b"PK\x03\x04" + bytes(100),
-], ids=["half-length", "zip-magic-then-garbage"])
+    lambda raw: b"",
+    lambda raw: _npy_bytes(np.zeros(3)),
+], ids=["half-length", "zip-magic-then-garbage", "empty", "plain-npy"])
 def test_corrupt_checkpoint_file_is_data_error(tmp_path, params, corrupt):
     path = tmp_path / "model.npz"
     save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5)

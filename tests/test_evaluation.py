@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_zero_shot_records
 from longctx.errors import UsageError
 from longctx.evaluation import (
     DEFAULT_KS,
@@ -17,7 +18,6 @@ from longctx.evaluation import (
     recall_pair,
     retrieval_csv_rows,
     retrieve,
-    write_zero_shot_records,
     zero_shot_classify,
 )
 

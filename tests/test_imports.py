@@ -1,12 +1,17 @@
-"""Every name a package or test module imports is used in that module."""
+"""Every name a package or test module imports is used in that module, and
+every top-level name the package defines is referenced by the program."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "longctx"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "longctx"
+# the program: the package, its scripts and its benchmark, but not the tests
+PROGRAM = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 MODULES = ([pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))]
            + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 
@@ -35,3 +40,55 @@ def test_unused_import_detector():
     source = ("from __future__ import annotations\nimport os\nimport xml.etree as ET\n"
               "from a import b, c as d\nET.parse(b)\n")
     assert unused_imports(source) == ["d (line 4)", "os (line 2)"]
+
+
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Top-level functions, classes and assigned names, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return names
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported, matched by name only."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def dead_names(defining: str, used: set[str]) -> list[str]:
+    return sorted(f"{name} (line {line})"
+                  for name, line in defined_names(ast.parse(defining)).items()
+                  if name not in used)
+
+
+@functools.cache
+def program_references() -> frozenset[str]:
+    return frozenset().union(*(referenced_names(ast.parse(p.read_text())) for p in PROGRAM))
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name)
+                                  for p in sorted(PACKAGE.glob("*.py"))])
+def test_every_top_level_name_is_referenced_by_the_program(path):
+    assert dead_names(path.read_text(), program_references()) == []
+
+
+def test_dead_name_detector():
+    defining = "A = 1\nB, C = 2, 3\nD: int = 4\nclass K: pass\ndef f(): pass\ndef g(): pass\n"
+    program = [defining, "from m import K\nprint(A, x.C, f())\n"]
+    used = set().union(*(referenced_names(ast.parse(source)) for source in program))
+    assert dead_names(defining, used) == ["B (line 2)", "D (line 3)", "g (line 6)"]

@@ -16,6 +16,7 @@ from helpers import fixture_caption_records, reference_section
 from longctx.errors import DataError, UsageError
 from longctx import longcap
 from longctx.longcap import (
+    REPAIR_SUFFIX,
     BackendError,
     CaptionRecord,
     FeasibilityReport,
@@ -227,6 +228,32 @@ def test_refine_reprompts_then_fails_on_persistent_violation():
     with pytest.raises(ParseFailure, match="blocked"):
         refine_caption("bad claim", report, backend)
     assert len(backend.requests) == 2
+
+
+def test_blank_refine_reply_gets_the_repair_reprompt():
+    report = report_of(("a cell", "FEASIBLE"))
+    backend = ScriptedBackend([" \n", "a cell"])
+    assert refine_caption("a cell", report, backend) == "a cell"
+    assert [p.endswith(REPAIR_SUFFIX) for p in backend.requests] == [False, True]
+
+
+@pytest.mark.parametrize("blank", ["", " \n\t"])
+def test_second_blank_refine_reply_fails_the_record_at_refine(blank):
+    class BlankRefine(MockBackend):
+        refines = 0
+
+        def generate(self, prompt, image_ref=None):
+            if prompt.startswith("TASK: refine"):
+                self.refines += 1
+                return blank
+            return super().generate(prompt, image_ref)
+
+    backend = BlankRefine(seed=0)
+    out = run_pipeline(fixture_caption_records()[:1], backend, max_workers=1)
+    (result,) = out.results
+    assert (result.status, result.caption) == ("failed", "")
+    assert result.stage == "refine: refined caption is blank"
+    assert backend.refines == 2
 
 
 # -- step 4: acronyms --------------------------------------------------------------

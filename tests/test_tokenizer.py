@@ -42,8 +42,7 @@ def test_vocab_size_too_small():
 
 def test_round_trip_on_corpus(vocab):
     for text in CORPUS:
-        seq = encode(vocab, text, context_length=256)
-        assert decode(vocab, seq.ids) == text
+        assert decode(vocab, encode(vocab, text, context_length=256)) == text
 
 
 def test_training_is_deterministic(tmp_path):
@@ -120,44 +119,29 @@ def test_corrupt_vocab_names_file_and_line(tmp_path, vocab, name, lineno, text):
 def test_encode_under_cutoff(vocab):
     # a text that tokenizes to exactly 10 content tokens
     text = CORPUS[0]
-    n = len(content_ids(vocab, text))
-    seq = encode(vocab, text, context_length=77)
-    assert not seq.truncated
-    assert seq.full_length == n
-    assert seq.visible_length == n + 2
-    assert len(seq.ids) == 77
-    assert seq.ids[0] == vocab.bos_id
-    assert seq.ids[seq.visible_length - 1] == vocab.eos_id
-    assert all(i == vocab.pad_id for i in seq.ids[seq.visible_length:])
+    content = content_ids(vocab, text)
+    # the visible ids only: no PAD
+    assert encode(vocab, text, context_length=77) == (vocab.bos_id, *content, vocab.eos_id)
 
 
 def test_encode_truncation_accounting(vocab):
     text = " ".join(["magnification"] * 120)
-    full = len(content_ids(vocab, text))
-    assert full > 77
-    seq = encode(vocab, text, context_length=77)
-    assert seq.truncated
-    assert seq.visible_length == 77
-    assert seq.full_length == full
-    # wasted content tokens relative to this window
-    assert seq.full_length - (77 - 2) == full - 75
-    assert seq.ids[76] == vocab.eos_id
+    full = content_ids(vocab, text)
+    assert len(full) > 77 - 2
+    # content past 77 - 2 tokens is cut, and EOS still ends the window
+    assert encode(vocab, text, context_length=77) == (vocab.bos_id, *full[:75], vocab.eos_id)
 
 
 def test_visible_ids_prefix_of_full_tokenization(vocab):
     text = CORPUS[1] + " " + CORPUS[2]
     full = content_ids(vocab, text)
-    seq = encode(vocab, text, context_length=10)
-    visible_content = [i for i in seq.ids[1:seq.visible_length - 1]]
-    assert visible_content == full[:8]
+    assert list(encode(vocab, text, context_length=10)[1:-1]) == full[:8]
 
 
 def test_encode_empty_text(vocab):
     seq = encode(vocab, "", context_length=8)
-    assert seq.full_length == 0
-    assert seq.visible_length == 2
-    assert not seq.truncated
-    assert decode(vocab, seq.ids) == ""
+    assert seq == (vocab.bos_id, vocab.eos_id)
+    assert decode(vocab, seq) == ""
 
 
 def test_encode_rejects_tiny_context(vocab):
@@ -232,9 +216,9 @@ def test_report_text_rendering(vocab):
 @given(st.text(min_size=0, max_size=60))
 def test_round_trip_arbitrary_text(text):
     v = train_bpe(CORPUS + [text] if text else CORPUS, vocab_size=300)
-    seq = encode(v, text, context_length=4 * max(1, len(text.encode("utf-8"))) + 2)
-    assert not seq.truncated
-    assert decode(v, seq.ids) == text
+    context_length = 4 * max(1, len(text.encode("utf-8"))) + 2
+    assert len(content_ids(v, text)) <= context_length - 2
+    assert decode(v, encode(v, text, context_length)) == text
 
 
 @settings(max_examples=20, deadline=None)
