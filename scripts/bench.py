@@ -17,8 +17,11 @@ metrics.  The file holds every run's metrics and digest, each side's median
 and quartiles, the pairs won, the claim rule's verdict for every end-to-end
 metric, and the machine the runs shared.  For ``ablate``, whose training runs
 in worker processes the tracer cannot see, it also holds each side's
-per-context ``train_s``, ``step_ms_p50`` and ``worker_peak_rss_mb``, read
-from the ``timings.csv`` that every untraced round leaves in its tree.
+per-context ``train_s`` and ``step_ms_p50`` and its workers' peak RSS, read
+from the ``timings.csv`` that every untraced round leaves in its tree.  The
+peak is taken once per round, as the largest ``worker_peak_rss_mb`` of the
+round's rows: a row holds the peak of whichever worker ran its context, so
+per context it would follow the order the workers were handed their jobs.
 
 The claim rule: the change wins at least nine tenths of the pairs (ties
 count for neither side), and the medians differ, in the better direction,
@@ -53,7 +56,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 900
 DIGEST_RE = re.compile(r"attempted (\d+)\s+failed (\d+)\s+correct (\w+)\s+digest (\S+)")
-TIMINGS_COLUMNS = ("train_s", "step_ms_p50", "worker_peak_rss_mb")
+TIMINGS_COLUMNS = ("train_s", "step_ms_p50")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -117,22 +120,30 @@ def run_once(tree: Path, workload: str, seed: int, trace: bool) -> dict:
         "metrics": {m: v["value"] for m, v in summary["metrics"].items()},
     }
     if workload == "ablate" and not trace:
-        run["contexts"] = read_timings(tree / ".perfbench_out" / f"ablate-seed{seed}-trace0")
+        run.update(read_timings(tree / ".perfbench_out" / f"ablate-seed{seed}-trace0"))
     return run
 
 
 def read_timings(run_dir: Path) -> dict:
-    """Per context, the median over an ``ablate`` run's rounds of each of
-    ``TIMINGS_COLUMNS``, from ``round*/ablate/timings.csv`` under ``run_dir``."""
-    values = {}
+    """From ``round*/ablate/timings.csv`` under ``run_dir``, the medians over
+    an ``ablate`` run's rounds of: per context, each of ``TIMINGS_COLUMNS``
+    (as ``contexts``); and of each round's largest ``worker_peak_rss_mb`` (as
+    ``worker_peak_rss_mb``).  Empty when no round left the file."""
+    values, peaks = {}, []
     for path in sorted(run_dir.glob("round*/ablate/timings.csv")):
         with path.open(newline="") as f:
-            for row in csv.DictReader(f):
-                for column in TIMINGS_COLUMNS:
-                    values.setdefault(row["context"], {}).setdefault(column, []).append(
-                        float(row[column]))
-    return {context: {column: statistics.median(v) for column, v in columns.items()}
-            for context, columns in values.items()}
+            rows = list(csv.DictReader(f))
+        for row in rows:
+            for column in TIMINGS_COLUMNS:
+                values.setdefault(row["context"], {}).setdefault(column, []).append(
+                    float(row[column]))
+        peaks.append(max(float(row["worker_peak_rss_mb"]) for row in rows))
+    if not peaks:
+        return {}
+    return {"contexts": {context: {column: statistics.median(v)
+                                   for column, v in columns.items()}
+                         for context, columns in values.items()},
+            "worker_peak_rss_mb": statistics.median(peaks)}
 
 
 def run_pairs(trees: dict, workload: str, seeds: list[int], trace: bool) -> list[dict]:
@@ -230,6 +241,17 @@ def summarize_contexts(pairs: list[dict]) -> dict:
             for context, columns in sorted(values.items(), key=lambda item: int(item[0]))}
 
 
+def summarize_worker_peak_rss(pairs: list[dict]) -> dict:
+    """Each side's median and quartiles of the runs' ``worker_peak_rss_mb``."""
+    out = {}
+    for side in ("base", "change"):
+        values = [p[side]["worker_peak_rss_mb"] for p in pairs
+                  if "worker_peak_rss_mb" in p[side]]
+        if values:
+            out[side] = dict(zip(("q1", "median", "q3"), quartiles(values)))
+    return out
+
+
 def machine_facts() -> dict:
     import numpy as np
 
@@ -308,6 +330,7 @@ def main() -> int:
         "end_to_end": {m: summarize(pairs, m, better.get(m), bounds[m]) for m in e2e},
         "per_layer_traced": {m: summarize_layer(traced, m) for m in layer_names},
         "per_context_untraced": summarize_contexts(pairs),
+        "worker_peak_rss_mb_untraced": summarize_worker_peak_rss(pairs),
         "failed_over_attempted": {
             s: [sum(p[s].get("failed", 0) for p in pairs),
                 sum(p[s].get("attempted", 0) for p in pairs)] for s in ("base", "change")},
@@ -329,6 +352,9 @@ def main() -> int:
         print(f"context {context:>4} " + "  ".join(
             f"{column} {sides['base']['median']:.4g} -> {sides['change']['median']:.4g}"
             for column, sides in columns.items() if len(sides) == 2))
+    rss = result["worker_peak_rss_mb_untraced"]
+    if len(rss) == 2:
+        print(f"worker_peak_rss_mb {rss['base']['median']:.4g} -> {rss['change']['median']:.4g}")
     print(f"digests equal: {result['digests_equal']}  -> {out}")
     return 0
 

@@ -337,8 +337,11 @@ def _ablation_worker(conn) -> None:
     the parent's end of the pipe is gone (closed, or the parent killed).  A
     killed parent also ends a run in progress: a daemon thread exits the
     process as soon as the parent's sentinel fires."""
+    import importlib
     import threading
     from multiprocessing import connection, parent_process
+
+    importlib.import_module(".trainer", __package__)  # while the parent prepares the jobs
 
     def exit_with_parent():
         connection.wait([parent_process().sentinel])
@@ -355,63 +358,82 @@ def _ablation_worker(conn) -> None:
                 conn.send(exc)
 
 
-def run_ablation(cfg: dict, corpus, vocab, contexts, ks) -> list[AblationRun]:
+@contextlib.contextmanager
+def ablation_workers(jobs: int):
+    """Start the ablation's ``spawn`` workers, one per usable CPU and at most
+    one per job, at one BLAS thread: these GEMMs are too small to split.
+    Yields this process's end of each worker's pipe, mapped to the worker.
+
+    Each worker imports numpy and the trainer while the caller prepares the
+    jobs.  On the way out an idle worker reads EOF and returns; if the block
+    raised, every worker is terminated.  None outlives the block."""
+    from multiprocessing import Pipe, get_context  # ~10 ms only ablate pays
+
+    workers = {}
+    saved = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
+    try:
+        try:
+            # a spawned worker may load numpy before our code runs: it inherits the cap
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+            for _ in range(min(jobs, len(os.sched_getaffinity(0)))):
+                pipe, worker_end = Pipe()
+                worker = get_context("spawn").Process(target=_ablation_worker,
+                                                      args=(worker_end,))
+                worker.start()
+                workers[pipe] = worker
+                worker_end.close()
+        finally:
+            for var in _BLAS_THREAD_VARS:
+                os.environ.pop(var, None)
+            os.environ.update(saved)
+        yield workers
+    except BaseException:
+        for worker in workers.values():
+            worker.terminate()
+        raise
+    finally:
+        for pipe in workers:
+            pipe.close()
+        for worker in workers.values():
+            worker.join()
+
+
+def run_ablation(workers: dict, cfg: dict, corpus, vocab, contexts, ks) -> list[AblationRun]:
     """Per context, one model trained and scored by two-way retrieval on the
     corpus: the context-length ablation for seed ``cfg["seed"]``.
 
-    Contexts train in ``spawn`` workers, one per usable CPU and at most one per
-    context, at one BLAS thread: these GEMMs are too small to split.  A free
-    worker gets the longest context left.  Runs come back in ``contexts`` order,
-    equal bit for bit to a loop of ``_ablation_run`` here.  A worker's error is
-    raised as itself, a dead worker is a ``LongCtxError``; none outlives the call."""
-    from multiprocessing import Pipe, connection, get_context  # ~10 ms only ablate pays
+    Contexts train on ``workers`` from ``ablation_workers``; a free worker gets
+    the longest context left.  Runs come back in ``contexts`` order, equal bit
+    for bit to a loop of ``_ablation_run`` here.  A worker's error is raised as
+    itself, a dead worker is a ``LongCtxError``."""
+    from multiprocessing import connection
 
     todo = sorted(range(len(contexts)), key=contexts.__getitem__)  # pop() is the longest
     runs = [None] * len(contexts)
-    workers, busy = {}, {}  # this process's end of a worker's pipe -> the worker / its job
-    saved = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
-    try:
-        # a spawned worker may load numpy before our code runs: it inherits the cap
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        for _ in range(min(len(contexts), len(os.sched_getaffinity(0)))):
-            pipe, worker_end = Pipe()
-            worker = get_context("spawn").Process(target=_ablation_worker, args=(worker_end,))
-            worker.start()
-            workers[pipe] = worker
-            worker_end.close()
-        for pipe in workers:  # all have started, so none waits for another's read
-            busy[pipe] = todo.pop()
-            with contextlib.suppress(BrokenPipeError):  # a dead worker shows as EOF below
-                pipe.send(functools.partial(_ablation_run, cfg, corpus, vocab, ks=ks))
-                pipe.send(contexts[busy[pipe]])
-        while busy:
-            for pipe in connection.wait(list(busy)):
-                try:
-                    result = pipe.recv()
-                except EOFError:  # spawn gave the worker its pipe end alone: it has exited
-                    workers[pipe].join()
-                    left = ",".join(str(c) for c, r in zip(contexts, runs) if r is None)
-                    raise LongCtxError(f"an ablation worker exited with code "
-                                       f"{workers[pipe].exitcode}; contexts {left} did not "
-                                       "finish") from None
-                if isinstance(result, Exception):
-                    raise result
-                runs[busy.pop(pipe)] = result
-                if todo:
-                    busy[pipe] = todo.pop()
-                    with contextlib.suppress(BrokenPipeError):
-                        pipe.send(contexts[busy[pipe]])
-        return runs
-    finally:
-        for var in _BLAS_THREAD_VARS:
-            os.environ.pop(var, None)
-        os.environ.update(saved)
-        for pipe in workers:
-            pipe.close()  # an idle worker reads EOF and returns
-        for worker in workers.values():
-            if None in runs:
-                worker.terminate()
-            worker.join()
+    busy = {}  # this process's end of a worker's pipe -> its job
+    for pipe in workers:  # all have started, so none waits for another's read
+        busy[pipe] = todo.pop()
+        with contextlib.suppress(BrokenPipeError):  # a dead worker shows as EOF below
+            pipe.send(functools.partial(_ablation_run, cfg, corpus, vocab, ks=ks))
+            pipe.send(contexts[busy[pipe]])
+    while busy:
+        for pipe in connection.wait(list(busy)):
+            try:
+                result = pipe.recv()
+            except EOFError:  # spawn gave the worker its pipe end alone: it has exited
+                workers[pipe].join()
+                left = ",".join(str(c) for c, r in zip(contexts, runs) if r is None)
+                raise LongCtxError(f"an ablation worker exited with code "
+                                   f"{workers[pipe].exitcode}; contexts {left} did not "
+                                   "finish") from None
+            if isinstance(result, Exception):
+                raise result
+            runs[busy.pop(pipe)] = result
+            if todo:
+                busy[pipe] = todo.pop()
+                with contextlib.suppress(BrokenPipeError):
+                    pipe.send(contexts[busy[pipe]])
+    return runs
 
 
 # -- commands -----------------------------------------------------------------------
@@ -594,13 +616,16 @@ def _timings_row(r: AblationRun) -> str:
 
 
 def cmd_ablate(cfg: dict) -> int:
-    corpus = load_corpus(_require_input(cfg, "corpus"))
+    corpus_path = _require_input(cfg, "corpus")
     contexts = _parse_int_list(cfg["contexts"], "context")
     ks = _parse_int_list(cfg["ks"], "K")
-    _check_model_configs(cfg, contexts, corpus.image_dim)
-    out = prepare_out_dir("ablate", cfg)
-    vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
-    runs = run_ablation(cfg, corpus, vocab, contexts, ks)
+    # the workers start up while this process reads the corpus and trains BPE
+    with ablation_workers(len(contexts)) as workers:
+        corpus = load_corpus(corpus_path)
+        _check_model_configs(cfg, contexts, corpus.image_dim)
+        out = prepare_out_dir("ablate", cfg)
+        vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
+        runs = run_ablation(workers, cfg, corpus, vocab, contexts, ks)
     table = [RETRIEVAL_CSV_HEADER.replace("benchmark", "context")]
     convergence = ["context,step,loss"]
     for r in runs:

@@ -142,6 +142,9 @@ def build_text_tower(g: Graph, cfg: TextEncoderConfig, batch: int, seq_len: int)
     q_h · (β Wk_hᵀ + bk_h) is the same for every key, which softmax ignores.
     So the block's full-sequence ln1 output is never formed, and the last
     block's ``bk`` is bound but never read: its gradient is exactly 0.
+    ``norm_attention`` does not form ``xhat`` either: it works from the
+    rows' statistics (centered rows and 1/std), so its results match the
+    formula above at the rounding level.
     """
     d, heads = cfg.embed_dim, cfg.num_heads
     dh = d // heads

@@ -115,6 +115,12 @@ class Graph:
         without gain or bias), per head ``u = softmax(qk·xhatᵀ + mask)·xhat``
         for ``qk`` [B,H,d] and an additive ``mask`` broadcastable to
         [B,H,L]; the result is [B,H,d].
+
+        ``xhat`` is never formed.  The kernel keeps the centered rows ``c``
+        and each row's ``inv = 1/std`` (row statistics), and folds ``inv``
+        into the [B,H,L] tensors: ``scores = (qk·cᵀ)∘inv + mask`` and
+        ``u = (att∘inv)·c``.  So its results differ from the formula above
+        at the rounding level.
         """
         return self._register("norm_attention", (h, qk, mask), name)
 
@@ -215,15 +221,12 @@ def _standardize(x):
     return xhat, inv
 
 
-def _standardize_vjp(dx, xhat, inv):
-    """dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), written
-    over dxhat in place; returns the scratch buffer it used."""
-    t = dx * xhat
-    t_mean = t.mean(axis=-1, keepdims=True)
-    dx -= dx.mean(axis=-1, keepdims=True)
-    dx -= np.multiply(xhat, t_mean, out=t)
-    dx *= inv
-    return t
+def _row_means(x):
+    """Means along the last axis, kept as a length-1 axis: a GEMV against a
+    1/d column, several times faster than ``mean(axis=-1)`` on short rows.
+    numpy runs one GEMV per leading index, so a row's bits do not depend on
+    where its sequence sits in the batch."""
+    return np.matmul(x, np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.dtype))
 
 
 def _gelu_tanh(x):
@@ -291,11 +294,13 @@ def _fwd(node, xs):
         _require(_broadcasts_to(mask.shape, qk.shape[:2] + h.shape[1:2]), node,
                  f"mask {mask.shape} not broadcastable to [B,H,L] "
                  f"{qk.shape[:2] + h.shape[1:2]}")
-        xhat, inv = _standardize(h)
-        scores = np.matmul(qk, np.swapaxes(xhat, -1, -2))
+        c = h - _row_means(h)
+        inv = np.swapaxes(1.0 / np.sqrt(_row_means(c * c) + LAYERNORM_EPS), -1, -2)
+        scores = np.matmul(qk, np.swapaxes(c, -1, -2))
+        scores *= inv
         scores += mask
         att = _softmax_last(scores)
-        return np.matmul(att, xhat), (xhat, inv, att)
+        return np.matmul(att * inv, c), (c, inv, att)
     if op == "l2_normalize":
         x = xs[0]
         n = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -304,7 +309,7 @@ def _fwd(node, xs):
     if op == "embedding":
         table, ids = xs
         _require(table.ndim == 2, node, "embedding table must be 2-d")
-        _require(np.issubdtype(ids.dtype, np.integer), node, "ids must be integers")
+        _require(ids.dtype.kind in "iu", node, "ids must be integers")
         _require(ids.size == 0 or (ids.min() >= 0 and ids.max() < table.shape[0]),
                  node, "token id out of range")
         return table[ids], None
@@ -312,7 +317,7 @@ def _fwd(node, xs):
         x, idx = xs
         _require(x.ndim >= 2 and idx.ndim == 1 and idx.shape[0] == x.shape[0],
                  node, f"gather_rows expects [B,...] and [B] index, got {x.shape}, {idx.shape}")
-        _require(np.issubdtype(idx.dtype, np.integer), node, "indices must be integers")
+        _require(idx.dtype.kind in "iu", node, "indices must be integers")
         _require(idx.size == 0 or (idx.min() >= 0 and idx.max() < x.shape[1]),
                  node, "row index out of range")
         return x[np.arange(x.shape[0]), idx], None
@@ -376,25 +381,38 @@ def _vjp(node, xs, y, gy, aux):
     if op == "layer_norm":
         x, gain, bias = xs
         xhat, inv = aux
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place
         dx = gy * gain
-        t = _standardize_vjp(dx, xhat, inv)
+        t = dx * xhat
+        t_mean = t.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, t_mean, out=t)
+        dx *= inv
         dgain = _sum_to_shape(np.multiply(gy, xhat, out=t), gain.shape)
         dbias = _sum_to_shape(gy, bias.shape)
         return [dx, dgain, dbias]
     if op == "norm_attention":
         _, qk, mask = xs
-        xhat, inv, att = aux
-        heads = att.shape[1]
-        # one [B,L,2H]·[B,2H,d] GEMM: g_xhat = attᵀ·gu + gsᵀ·qk
-        weights = np.empty(att.shape[:1] + (2 * heads,) + att.shape[2:], dtype=att.dtype)
-        weights[:, :heads] = att
-        gs = weights[:, heads:]
-        np.matmul(gy, np.swapaxes(xhat, -1, -2), out=gs)
+        c, inv, att = aux  # inv is [B,1,L]
+        heads, d = att.shape[1], c.shape[-1]
+        # g_xhat = Aᵀ·C for A = [att; gs] and C = [gy; qk].  Through xhat =
+        # c∘inv, with W = A∘inv and P = C·cᵀ (its first H rows give g_att):
+        #   g_h = Wᵀ·(C - mean_d(C)) - c∘inv²∘sum_k(W∘P)/d,  g_qk = (gs∘inv)·c
+        # so every term before the last GEMM is [B,2H,L]-sized
+        cat = np.concatenate((gy, qk), axis=1)
+        p = np.matmul(cat, np.swapaxes(c, -1, -2))
+        gs = p[:, :heads] * inv
         gs -= (gs * att).sum(axis=-1, keepdims=True)
         gs *= att  # the softmax VJP: gs = att * (g_att - sum(g_att * att))
-        g_xhat = np.matmul(np.swapaxes(weights, -1, -2), np.concatenate((gy, qk), axis=1))
-        _standardize_vjp(g_xhat, xhat, inv)
-        return [g_xhat, np.matmul(gs, xhat), _sum_to_shape(gs, mask.shape)]
+        w = np.concatenate((att, gs), axis=1)
+        w *= inv
+        cat -= _row_means(cat)
+        g_h = np.matmul(np.swapaxes(w, -1, -2), cat)
+        p *= w
+        t = p.sum(axis=1)[..., None]
+        t *= np.square(np.swapaxes(inv, -1, -2)) / d
+        g_h -= c * t
+        return [g_h, np.matmul(w[:, heads:], c), _sum_to_shape(gs, mask.shape)]
     if op == "l2_normalize":
         return [(gy - y * (gy * y).sum(axis=-1, keepdims=True)) / aux]
     if op == "embedding":
@@ -448,7 +466,7 @@ def forward(graph: Graph, bindings: dict[str, np.ndarray]) -> Tape:
     bound = {}
     for name in graph.inputs:
         v = np.asarray(bindings[name])
-        if not np.issubdtype(v.dtype, np.integer):
+        if v.dtype.kind not in "iu":  # integers (token ids) stay as they are
             v = v.astype(graph.dtype, copy=False)
         bound[name] = v
     tape = _run(graph, bound, check_every_node=False)
@@ -464,7 +482,7 @@ def _run(graph: Graph, bound: dict[str, np.ndarray], check_every_node: bool) -> 
     aux = [None] * len(graph.nodes)
     for name, node in graph.inputs.items():
         v = bound[name]
-        if check_every_node and not np.issubdtype(v.dtype, np.integer):
+        if check_every_node and v.dtype.kind not in "iu":
             _check_finite(v, node)
         values[node.idx] = v
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -545,7 +563,7 @@ def backward(tape: Tape, output: str | None = None, seed=None) -> dict[str, np.n
     for name, node in graph.inputs.items():
         g = grads[node.idx]
         v = tape.values[node.idx]
-        if np.issubdtype(v.dtype, np.integer):
+        if v.dtype.kind in "iu":
             continue
         result[name] = np.zeros_like(v) if g is None else g
     return result

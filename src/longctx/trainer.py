@@ -156,9 +156,11 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
         raise UsageError("max_norm must be positive")
     total = 0.0
     for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient")
         total += float(np.sum(np.square(g, dtype=np.float64)))
+    # NaN or +/-Inf makes the float64 sum non-finite; so does a finite float64
+    # gradient whose square overflows, which is clipped to zeros below
+    if not math.isfinite(total) and not all(np.isfinite(g).all() for g in grads.values()):
+        raise NumericError("non-finite gradient")
     norm = math.sqrt(total)
     if norm <= max_norm:
         return grads, norm

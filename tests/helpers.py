@@ -329,6 +329,13 @@ def reference_section(prompt: str, header: str) -> str:
     return m.group(1).strip() if m else ""
 
 
+def run_ablation(cfg, corpus, vocab, contexts, ks):
+    """``cli.run_ablation`` on workers started for the call, as ``ablate``
+    runs it."""
+    with cli.ablation_workers(len(contexts)) as workers:
+        return cli.run_ablation(workers, cfg, corpus, vocab, contexts, ks)
+
+
 KILLED_CONTEXT = 8
 FAILING_CONTEXT = 9
 SLEEPING_CONTEXT = 2

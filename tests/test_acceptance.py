@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import evaluate, fixture_caption_records, unit_rows
-from longctx.cli import SCHEMAS, run_ablation
+from helpers import evaluate, fixture_caption_records, run_ablation, unit_rows
+from longctx.cli import SCHEMAS
 from longctx.cli import run as cli_run
 from longctx.data import SyntheticSpec, generate_synthetic, save_corpus
 from longctx.encoders import (

@@ -94,17 +94,34 @@ def test_per_context_timings_are_medians_over_rounds_then_runs(tmp_path):
     write_timings(run_dir, 1, ["512,62,6.4,9.4,12.0,81.0", "77,62,3.2,4.2,6.0,61.0"])
     write_timings(run_dir, 2, ["512,62,9.0,9.6,12.0,82.0", "77,62,3.1,4.1,6.0,62.0"])
     timings = bench.read_timings(run_dir)
-    assert timings == {
-        "512": {"train_s": 6.4, "step_ms_p50": 9.4, "worker_peak_rss_mb": 81.0},
-        "77": {"train_s": 3.1, "step_ms_p50": 4.1, "worker_peak_rss_mb": 61.0}}
+    assert timings["contexts"] == {
+        "512": {"train_s": 6.4, "step_ms_p50": 9.4},
+        "77": {"train_s": 3.1, "step_ms_p50": 4.1}}
     assert bench.read_timings(tmp_path / "missing") == {}
 
-    slower = {c: {k: 2 * v for k, v in row.items()} for c, row in timings.items()}
-    pairs = [{"base": {"contexts": timings}, "change": {"contexts": slower}},
+    slower = {c: {k: 2 * v for k, v in row.items()} for c, row in timings["contexts"].items()}
+    pairs = [{"base": {"contexts": timings["contexts"]}, "change": {"contexts": slower}},
              {"base": {"contexts": slower}, "change": {"contexts": slower}},
              {"base": {"error": "exit 1"}, "change": {"contexts": slower}}]
     s = bench.summarize_contexts(pairs)
     assert list(s) == ["77", "512"]  # by context length
     assert s["512"]["train_s"]["base"] == pytest.approx({"q1": 8.0, "median": 9.6, "q3": 11.2})
     assert s["512"]["train_s"]["change"]["median"] == 12.8
-    assert s["77"]["worker_peak_rss_mb"]["change"]["median"] == 122.0
+    assert set(s["77"]) == {"train_s", "step_ms_p50"}
+
+
+def test_worker_peak_rss_is_the_largest_row_of_a_round(tmp_path):
+    # 77 runs on whichever worker frees first, so its row reads 62 MB in one
+    # round and the 512 worker's 80 MB in another; a round's peak does not move
+    run_dir = tmp_path / "ablate-seed7-trace0"
+    write_timings(run_dir, 0, ["512,62,6.0,9.0,12.0,80.0", "77,62,3.0,4.0,6.0,62.0"])
+    write_timings(run_dir, 1, ["512,62,6.4,9.4,12.0,81.0", "77,62,3.2,4.2,6.0,81.0"])
+    write_timings(run_dir, 2, ["512,62,9.0,9.6,12.0,79.0", "77,62,3.1,4.1,6.0,63.0"])
+    assert bench.read_timings(run_dir)["worker_peak_rss_mb"] == 80.0
+
+    pairs = [{"base": {"worker_peak_rss_mb": b}, "change": {"worker_peak_rss_mb": c}}
+             for b, c in ((80.0, 70.0), (82.0, 72.0), (81.0, 71.0))]
+    pairs.append({"base": {"error": "exit 1"}, "change": {"worker_peak_rss_mb": 90.0}})
+    s = bench.summarize_worker_peak_rss(pairs)
+    assert s["base"] == pytest.approx({"q1": 80.5, "median": 81.0, "q3": 81.5})
+    assert s["change"]["median"] == 71.5

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import multiprocessing
@@ -22,6 +23,7 @@ from helpers import (
     blas_thread_vars_seen,
     context_and_start_time,
     fixture_caption_records,
+    run_ablation,
     write_zero_shot_records,
 )
 from longctx import cli
@@ -246,7 +248,7 @@ def test_ablation_pool_equals_an_in_process_loop(small_corpus_file):
     corpus = load_corpus(small_corpus_file)
     vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
     contexts, ks = [16, 8, 12], (1, 5)
-    pooled = cli.run_ablation(cfg, corpus, vocab, contexts, ks)
+    pooled = run_ablation(cfg, corpus, vocab, contexts, ks)
     assert multiprocessing.active_children() == []
     looped = [cli._ablation_run(cfg, corpus, vocab, c, ks) for c in contexts]
     assert [r.context for r in pooled] == contexts
@@ -263,12 +265,12 @@ def test_workers_load_numpy_at_one_blas_thread_and_the_parent_keeps_its_env(monk
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     monkeypatch.setattr(cli, "_ablation_run", blas_thread_vars_seen)
-    assert cli.run_ablation({}, None, None, [1, 2], ks=()) == [["1", "1", "1"]] * 2
+    assert run_ablation({}, None, None, [1, 2], ks=()) == [["1", "1", "1"]] * 2
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
     # and when a worker's run fails
     monkeypatch.setattr(cli, "_ablation_run", ablation_run_failing_at_context)
     with pytest.raises(UsageError, match="failed in its worker"):
-        cli.run_ablation({}, None, None, [FAILING_CONTEXT], ks=())
+        run_ablation({}, None, None, [FAILING_CONTEXT], ks=())
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
     assert multiprocessing.active_children() == []
 
@@ -276,14 +278,14 @@ def test_workers_load_numpy_at_one_blas_thread_and_the_parent_keeps_its_env(monk
 def test_a_free_worker_gets_the_longest_context_left(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(cli, "_ablation_run", context_and_start_time)
-    runs = cli.run_ablation({}, None, None, [16, 8, 12], ks=())
+    runs = run_ablation({}, None, None, [16, 8, 12], ks=())
     assert [context for context, _ in runs] == [16, 8, 12]
     assert [context for context, _ in sorted(runs, key=lambda run: run[1])] == [16, 12, 8]
 
 
 def test_ablate_error_in_a_worker_is_one_line(tmp_path, small_corpus_file, capsys,
                                              monkeypatch):
-    # every bad value is refused before the workers start, so a stand-in run raises
+    # every bad value is refused before a job is sent, so a stand-in run raises
     monkeypatch.setattr(cli, "_ablation_run", ablation_run_failing_at_context)
     capsys.readouterr()
     assert run(["ablate", "--corpus", str(small_corpus_file),
@@ -292,6 +294,30 @@ def test_ablate_error_in_a_worker_is_one_line(tmp_path, small_corpus_file, capsy
     err = capsys.readouterr().err
     assert err.startswith("longctx ablate: error: ") and err.count("\n") == 1, err
     assert f"context {FAILING_CONTEXT} failed in its worker" in err
+    assert multiprocessing.active_children() == []
+
+
+def test_ablate_refusing_its_corpus_after_the_workers_start_leaves_no_child(
+        tmp_path, small_corpus_file, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(small_corpus_file.read_text() + "{not json\n")
+    started = []
+    start_workers = cli.ablation_workers
+
+    @contextlib.contextmanager
+    def recorded(jobs):
+        with start_workers(jobs) as workers:
+            started.extend(workers.values())
+            yield workers
+
+    monkeypatch.setattr(cli, "ablation_workers", recorded)
+    capsys.readouterr()
+    assert run(["ablate", "--corpus", str(corpus), "--contexts", "8,16",
+                *TINY_ABLATE, "--out", str(tmp_path / "ab")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("longctx ablate: error: ") and err.count("\n") == 1, err
+    assert "line 31" in err, err
+    assert started and not any(worker.is_alive() for worker in started)
     assert multiprocessing.active_children() == []
 
 
@@ -341,7 +367,7 @@ def _worker_exits_when_its_parent_is_killed(watched: int) -> bool:
     script = ("import os, helpers; from longctx import cli; "
               "os.sched_getaffinity = lambda pid: {0, 1}; "
               "cli._ablation_run = helpers.context_and_pid_printed; "
-              f"cli.run_ablation({{}}, None, None, [1, {SLEEPING_CONTEXT}], ks=())")
+              f"helpers.run_ablation({{}}, None, None, [1, {SLEEPING_CONTEXT}], ks=())")
     proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                             env=_child_env(SRC, Path(__file__).parent))
     pids = {}

@@ -434,8 +434,8 @@ def test_layer_norm_gain_must_broadcast_to_input():
 # -- norm_attention ---------------------------------------------------------------
 
 
-def _norm_attention_graph():
-    g = Graph()
+def _norm_attention_graph(dtype="float64"):
+    g = Graph(dtype=dtype)
     h, qk, mask, w = (g.input(n) for n in ("h", "qk", "mask", "w"))
     g.output(g.mean(g.mul(g.norm_attention(h, qk, mask, name="att"), w)), "f")
     return g
@@ -470,6 +470,49 @@ def test_norm_attention_grads_match_finite_differences(seed, mask_heads):
     rng = np.random.default_rng(seed)
     _fd_check(_norm_attention_graph(), _norm_attention_bindings(rng, mask_heads=mask_heads),
               names=["h", "qk", "mask"])
+
+
+def _attention_loss_graph(dtype, attention):
+    """Outputs ``u = attention(g, h, qk, mask)`` and ``f = mean(u * w)``."""
+    g = Graph(dtype=dtype)
+    h, qk, mask, w = (g.input(n) for n in ("h", "qk", "mask", "w"))
+    u = g.output(attention(g, h, qk, mask), "u")
+    g.output(g.mean(g.mul(u, w)), "f")
+    return g
+
+
+def _layer_norm_then_attention(g, h, qk, mask):
+    ones = g.input("ones")
+    xhat = g.layer_norm(h, ones, g.scale(ones, 0.0))
+    att = g.softmax(g.add(g.matmul(qk, g.transpose(xhat, (0, 2, 1))), mask))
+    return g.matmul(att, xhat)
+
+
+def test_float32_norm_attention_matches_a_float64_composition():
+    rng = np.random.default_rng(7)
+    b = _norm_attention_bindings(rng, batch=3, length=9, d=8, heads=2)
+    b["h"][1, 4] = 10.0 + rng.normal(size=8)  # a row whose mean is 10 times its spread
+    b = {k: v.astype(np.float32) for k, v in b.items()}  # both sides read the same values
+    tape = forward(_attention_loss_graph("float32", Graph.norm_attention), b)
+    grads = backward(tape, "f")
+    ref_tape = forward(_attention_loss_graph("float64", _layer_norm_then_attention),
+                       dict(b, ones=np.ones(8)))
+    ref_grads = backward(ref_tape, "f")
+    # float32 rounding: a few dozen ulps of the largest value
+    tol = 64 * np.finfo(np.float32).eps
+    for got, want in [(tape.outputs["u"], ref_tape.outputs["u"])] + [
+            (grads[n], ref_grads[n]) for n in ("h", "qk", "mask")]:
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_norm_attention_gradient_rows_of_masked_keys_are_zero(dtype):
+    rng = np.random.default_rng(5)
+    b = _norm_attention_bindings(rng)  # keys 3 and 4 of sequence 0 are masked
+    grads = backward(forward(_norm_attention_graph(dtype), b))
+    assert np.all(grads["h"][0, -2:] == 0) and np.all(grads["mask"][0, :, -2:] == 0)
+    assert np.any(grads["h"][0, :-2] != 0) and np.all(grads["h"][1] != 0)
 
 
 @pytest.mark.parametrize("h_shape, qk_shape, mask_shape", [

@@ -144,6 +144,25 @@ def test_clip_rejects_nonfinite():
         clip_gradients({"a": np.array([np.inf])}, 1.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clip_rejects_a_nonfinite_value_in_any_gradient(dtype, bad):
+    grads = {"a": np.array([3.0, 4.0], dtype), "b": np.array([1.0, bad, 2.0], dtype)}
+    kept = {k: g.copy() for k, g in grads.items()}
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        clip_gradients(grads, 1.0)
+    for k, g in grads.items():
+        np.testing.assert_array_equal(g, kept[k])
+
+
+def test_clip_turns_a_float64_norm_overflow_into_zeros():
+    grads = {"a": np.array([1e200, -1e200]), "b": np.array([1.0, 2.0])}
+    with np.errstate(over="ignore"):
+        clipped, norm = clip_gradients(grads, 1.0)
+    assert norm == math.inf
+    assert all(np.all(g == 0) for g in clipped.values())
+
+
 def test_paper_default_clip_norm():
     assert TrainConfig().grad_clip_norm == 1.0
 
