@@ -341,19 +341,21 @@ def _ablation_worker(conn) -> None:
     import threading
     from multiprocessing import connection, parent_process
 
-    importlib.import_module(".trainer", __package__)  # while the parent prepares the jobs
-
     def exit_with_parent():
         connection.wait([parent_process().sentinel])
         os._exit(1)
 
     threading.Thread(target=exit_with_parent, daemon=True).start()
     with contextlib.suppress(EOFError, BrokenPipeError):
-        run = conn.recv()  # the run function, sent once
+        # the run function with its corpus, then the trainer's import, while the
+        # parent trains BPE; then the vocabulary, once
+        run = conn.recv()
+        importlib.import_module(".trainer", __package__)
+        vocab = conn.recv()
         while True:
             context = conn.recv()
             try:
-                conn.send(run(context))
+                conn.send(run(vocab, context))
             except Exception as exc:  # the run's error, or its result's pickling error
                 conn.send(exc)
 
@@ -364,9 +366,10 @@ def ablation_workers(jobs: int):
     one per job, at one BLAS thread: these GEMMs are too small to split.
     Yields this process's end of each worker's pipe, mapped to the worker.
 
-    Each worker imports numpy and the trainer while the caller prepares the
-    jobs.  On the way out an idle worker reads EOF and returns; if the block
-    raised, every worker is terminated.  None outlives the block."""
+    Each worker imports numpy while the caller reads the corpus, then
+    unpickles its run and imports the trainer while the caller trains BPE.
+    On the way out an idle worker reads EOF and returns; if the block raised,
+    every worker is terminated.  None outlives the block."""
     from multiprocessing import Pipe, get_context  # ~10 ms only ablate pays
 
     workers = {}
@@ -398,23 +401,43 @@ def ablation_workers(jobs: int):
             worker.join()
 
 
-def run_ablation(workers: dict, cfg: dict, corpus, vocab, contexts, ks) -> list[AblationRun]:
+def run_ablation(workers: dict, cfg: dict, corpus, train_vocab, contexts,
+                 ks) -> list[AblationRun]:
     """Per context, one model trained and scored by two-way retrieval on the
-    corpus: the context-length ablation for seed ``cfg["seed"]``.
+    corpus: the context-length ablation for seed ``cfg["seed"]``, with the
+    vocabulary that ``train_vocab()`` returns.
 
-    Contexts train on ``workers`` from ``ablation_workers``; a free worker gets
-    the longest context left.  Runs come back in ``contexts`` order, equal bit
-    for bit to a loop of ``_ablation_run`` here.  A worker's error is raised as
-    itself, a dead worker is a ``LongCtxError``."""
+    Contexts train on ``workers`` from ``ablation_workers``.  The run
+    function, with ``cfg`` and the corpus bound, is pickled once; a thread
+    sends those bytes to every worker while ``train_vocab`` runs here, and
+    the vocabulary follows.  A free worker gets the longest context left.
+    Runs come back in ``contexts`` order, equal bit for bit to a loop of
+    ``_ablation_run`` here.  A worker's error is raised as itself, a dead
+    worker is a ``LongCtxError``."""
+    import pickle
+    import threading
     from multiprocessing import connection
 
+    def hand_out(run: bytes) -> None:
+        for pipe in workers:
+            with contextlib.suppress(BrokenPipeError):  # a dead worker shows as EOF below
+                pipe.send_bytes(run)
+
+    # the thread drops the bytes once they are sent
+    sender = threading.Thread(target=hand_out, args=(
+        pickle.dumps(functools.partial(_ablation_run, cfg, corpus, ks=ks)),))
+    sender.start()
+    try:
+        vocab = train_vocab()
+    finally:
+        sender.join()  # no other message goes out on a pipe before the run
     todo = sorted(range(len(contexts)), key=contexts.__getitem__)  # pop() is the longest
     runs = [None] * len(contexts)
     busy = {}  # this process's end of a worker's pipe -> its job
-    for pipe in workers:  # all have started, so none waits for another's read
+    for pipe in workers:
         busy[pipe] = todo.pop()
-        with contextlib.suppress(BrokenPipeError):  # a dead worker shows as EOF below
-            pipe.send(functools.partial(_ablation_run, cfg, corpus, vocab, ks=ks))
+        with contextlib.suppress(BrokenPipeError):
+            pipe.send(vocab)
             pipe.send(contexts[busy[pipe]])
     while busy:
         for pipe in connection.wait(list(busy)):
@@ -506,9 +529,38 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep up to 64 MiB of freed heap in this process.
+
+    Each batch of ``encode_texts`` frees its arrays, about twice its largest,
+    at the top of the heap.  By default glibc returns them to the system
+    once they exceed twice the largest mapped block freed so far, so every
+    batch faults the same pages in again: 200k page faults, 0.4 s, for
+    8,000 captions at context 512.  Without glibc's ``mallopt`` nothing
+    changes."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # a set threshold stops glibc moving the other, so both are set: blocks
+    # up to glibc's largest mapping threshold come from the heap
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _load_model(cfg: dict) -> TrainedModel:
+    """The checked model of an ``eval-*`` command, whose batched forward
+    passes run on a heap that keeps its freed pages."""
     from .encoders import TrainedModel, checkpoint_vocab_fingerprint, load_checkpoint
 
+    _keep_freed_heap()
     checkpoint, vocab_dir = _require_input(cfg, "checkpoint"), _require_input(cfg, "vocab")
     text_cfg, img_cfg, params, log_scale = load_checkpoint(checkpoint)
     vocab = load_vocab(vocab_dir)
@@ -619,13 +671,15 @@ def cmd_ablate(cfg: dict) -> int:
     corpus_path = _require_input(cfg, "corpus")
     contexts = _parse_int_list(cfg["contexts"], "context")
     ks = _parse_int_list(cfg["ks"], "K")
-    # the workers start up while this process reads the corpus and trains BPE
+    # the workers start up while this process reads the corpus, and unpickle it
+    # while this process trains BPE
     with ablation_workers(len(contexts)) as workers:
         corpus = load_corpus(corpus_path)
         _check_model_configs(cfg, contexts, corpus.image_dim)
         out = prepare_out_dir("ablate", cfg)
-        vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
-        runs = run_ablation(workers, cfg, corpus, vocab, contexts, ks)
+        runs = run_ablation(workers, cfg, corpus,
+                            lambda: train_bpe(corpus.captions(), cfg["vocab_size"]),
+                            contexts, ks)
     table = [RETRIEVAL_CSV_HEADER.replace("benchmark", "context")]
     convergence = ["context,step,loss"]
     for r in runs:

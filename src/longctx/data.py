@@ -86,24 +86,26 @@ def read_json_lines(path, what: str, build) -> list:
     """``build(obj)`` for each JSON object line of ``path``, in file order.
 
     The one reader of every line-delimited record file.  The file is UTF-8
-    split on newlines only, so a U+2028 or U+0085 inside a string stays in
-    its line; blank lines are skipped.  An unreadable file, a line that is
-    not a UTF-8 JSON object, or a ``KeyError``/``ValueError``/``TypeError``
-    or ``LongCtxError`` from ``build`` (a record's own validation) raises a
-    ``DataError`` naming the file and the line.
+    read one line at a time and split on newlines only, so a U+2028 or
+    U+0085 inside a string stays in its line; blank lines are skipped.  An
+    unreadable file, a line that is not a UTF-8 JSON object, or a
+    ``KeyError``/``ValueError``/``TypeError`` or ``LongCtxError`` from
+    ``build`` (a record's own validation) raises a ``DataError`` naming the
+    file and the line.
     """
+    out = []
     try:
-        lines = Path(path).read_bytes().split(b"\n")
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    # a bad line's error names what the line holds, not its newline
+                    out.append(build(_json_object(line.removesuffix(b"\n"))))
+                except (KeyError, ValueError, TypeError, LongCtxError) as exc:
+                    raise DataError(f"{path} line {lineno}: malformed {what} ({exc})") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(build(_json_object(line)))
-        except (KeyError, ValueError, TypeError, LongCtxError) as exc:
-            raise DataError(f"{path} line {lineno}: malformed {what} ({exc})") from exc
     return out
 
 

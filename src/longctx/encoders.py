@@ -286,10 +286,12 @@ class TrainedModel:
     dtype: str = "float64"
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:
-        seqs = [encode(self.vocab, t, self.text_cfg.context_length) for t in texts]
-        chunks = [text_encode(self.params, self.text_cfg, seqs[i:i + ENCODE_TEXT_BATCH],
+        """Unit embeddings of ``texts``, tokenized one batch at a time."""
+        n = self.text_cfg.context_length
+        chunks = [text_encode(self.params, self.text_cfg,
+                              [encode(self.vocab, t, n) for t in texts[i:i + ENCODE_TEXT_BATCH]],
                               dtype=self.dtype)
-                  for i in range(0, len(seqs), ENCODE_TEXT_BATCH)]
+                  for i in range(0, len(texts), ENCODE_TEXT_BATCH)]
         return np.concatenate(chunks, axis=0)
 
     def encode_images(self, images: np.ndarray) -> np.ndarray:

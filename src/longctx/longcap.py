@@ -534,8 +534,23 @@ def read_journal(path) -> list[RecordResult]:
     starts a line of its own, and its record is processed again.  A
     malformed complete line, or a missing file, is a ``DataError``.
     """
-    data = Path(path).read_bytes() if Path(path).exists() else b""
-    complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        os.truncate(path, complete)
+    if Path(path).exists():
+        with open(path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            complete = _through_last_newline(fh, size)
+        if complete < size:
+            os.truncate(path, complete)
     return read_json_lines(path, "journal entry", lambda obj: RecordResult(**obj))
+
+
+def _through_last_newline(fh, end: int) -> int:
+    """The length of ``fh``'s first ``end`` bytes up to and including their
+    last newline, read backward 64 KiB at a time; 0 without one."""
+    while end:
+        start = max(0, end - (1 << 16))
+        fh.seek(start)
+        newline = fh.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        end = start
+    return 0

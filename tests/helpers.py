@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from longctx import cli
-from longctx.data import json_line
+from longctx.data import PairedCorpus, json_line
 from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
 from longctx.numerics import LAYERNORM_EPS, Graph, _fwd, _sum_to_shape, _vjp, forward
@@ -330,10 +330,20 @@ def reference_section(prompt: str, header: str) -> str:
 
 
 def run_ablation(cfg, corpus, vocab, contexts, ks):
-    """``cli.run_ablation`` on workers started for the call, as ``ablate``
-    runs it."""
+    """``cli.run_ablation`` with ``vocab`` on workers started for the call,
+    as ``ablate`` runs it."""
     with cli.ablation_workers(len(contexts)) as workers:
-        return cli.run_ablation(workers, cfg, corpus, vocab, contexts, ks)
+        return cli.run_ablation(workers, cfg, corpus, lambda: vocab, contexts, ks)
+
+
+class CountedCorpus(PairedCorpus):
+    """A corpus that counts, in ``reductions``, how often it is pickled."""
+
+    reductions = 0
+
+    def __reduce_ex__(self, protocol):
+        CountedCorpus.reductions += 1
+        return super().__reduce_ex__(protocol)
 
 
 KILLED_CONTEXT = 8

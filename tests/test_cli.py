@@ -3,6 +3,7 @@ import gc
 import json
 import multiprocessing
 import os
+import platform
 import re
 import signal
 import subprocess
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CountedCorpus,
     FAILING_CONTEXT,
     KILLED_CONTEXT,
     SLEEPING_CONTEXT,
@@ -261,6 +263,23 @@ def test_ablation_pool_equals_an_in_process_loop(small_corpus_file):
             np.testing.assert_array_equal(a.ranks, b.ranks)
 
 
+def test_ablate_pickles_its_corpus_once_before_bpe(tmp_path, small_corpus_file, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three workers
+    monkeypatch.setattr(cli, "load_corpus", lambda path: CountedCorpus(load_corpus(path).records))
+    at_bpe_start = []
+
+    def recorded_train_bpe(*args):
+        at_bpe_start.append(CountedCorpus.reductions)
+        return train_bpe(*args)
+
+    monkeypatch.setattr(cli, "train_bpe", recorded_train_bpe)
+    monkeypatch.setattr(CountedCorpus, "reductions", 0)
+    assert run(["ablate", "--corpus", str(small_corpus_file), "--contexts", "16,8,12",
+                *TINY_ABLATE, "--out", str(tmp_path / "ab")]) == 0
+    assert at_bpe_start == [1] and CountedCorpus.reductions == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_workers_load_numpy_at_one_blas_thread_and_the_parent_keeps_its_env(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -396,6 +415,35 @@ def test_idle_workers_exit_when_their_parent_is_killed():
 def test_busy_workers_exit_when_their_parent_is_killed():
     # the sleeping run does not end on its own for a minute
     assert _worker_exits_when_its_parent_is_killed(SLEEPING_CONTEXT)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
+def test_a_loaded_model_encodes_its_batches_on_pages_it_keeps(tmp_path):
+    # long captions at context 512: each batch frees more than glibc's
+    # default thresholds let the heap keep
+    corpus, _ = generate_synthetic(SyntheticSpec(num_classes=2, samples_per_class=160,
+                                                 image_dim=8, seed=3))
+    vocab = train_bpe(corpus.captions()[:40], 300)
+    text_cfg = TextEncoderConfig(context_length=512, vocab_size=vocab.size, embed_dim=16,
+                                 num_layers=1, num_heads=2, output_dim=8)
+    img_cfg = ImageEncoderConfig(input_dim=8, hidden_dim=16, output_dim=8)
+    save_vocab(vocab, tmp_path / "vocab")
+    save_checkpoint(tmp_path / "ckpt.npz", text_cfg, img_cfg,
+                    init_params(text_cfg, img_cfg, seed=0), 2.0, vocab=vocab)
+    (tmp_path / "captions.json").write_text(json.dumps(corpus.captions()))
+    # a child interpreter: the test process's heap has its own history
+    script = ("import json, resource, sys; from longctx import cli; "
+              "model = cli._load_model({'checkpoint': sys.argv[1], 'vocab': sys.argv[2]}); "
+              "texts = json.load(open(sys.argv[3])); model.encode_texts(texts); "
+              "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+              "model.encode_texts(texts); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "ckpt.npz"),
+                           str(tmp_path / "vocab"), str(tmp_path / "captions.json")],
+                          capture_output=True, text=True, env=_child_env(SRC), timeout=120,
+                          check=True)
+    # five batches; a batch that faults its arrays in again takes about 1,850
+    assert int(proc.stdout) < 500, proc.stdout
 
 
 def test_eval_retrieval_keeps_checkpoint_dtype(tmp_path, small_corpus_file, monkeypatch):

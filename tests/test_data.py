@@ -2,6 +2,7 @@ import io
 import json
 import re
 import tarfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,27 @@ def test_raw_line_separators_stay_inside_their_string(tmp_path, reader):
     path = tmp_path / "input.jsonl"
     path.write_bytes(_line(first, ensure_ascii=False))
     assert field(read(path)) == SEPARATED
+
+
+def test_load_corpus_holds_one_line_besides_what_it_keeps(tmp_path):
+    # a 3 MB file: reading it whole would add its size on top of the records
+    corpus, _ = generate_synthetic(SyntheticSpec(num_classes=10, samples_per_class=150,
+                                                 image_dim=64, seed=4))
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    del corpus
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_corpus(path)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(loaded) == 1500 and path.stat().st_size > 3e6
+    assert peak - kept < 0.25e6, f"kept {kept / 1e6:.2f} MB, peaked at {peak / 1e6:.2f} MB"
 
 
 def test_record_validation_error_names_file_and_line(tmp_path):

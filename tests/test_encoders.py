@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import bits, eos_row_text_tower, finite_difference_grad
+from longctx import encoders
 from longctx.encoders import (
+    ENCODE_TEXT_BATCH,
     ImageEncoderConfig,
     TextEncoderConfig,
     TrainedModel,
@@ -341,6 +343,26 @@ def test_trained_model_encodes_both_modalities(vocab, params):
     zi = model.encode_images(np.random.default_rng(2).normal(size=(3, IMG_CFG.input_dim)))
     assert zt.shape == (2, 8) and zi.shape == (3, 8)
     np.testing.assert_allclose(np.linalg.norm(zt, axis=1), 1.0, atol=1e-6)
+
+
+def test_trained_model_tokenizes_one_batch_at_a_time(vocab, params, monkeypatch):
+    tokenized, waiting = [], []
+
+    def counted_encode(*args):
+        tokenized.append(args[1])
+        return encode(*args)
+
+    def recorded_text_encode(params, cfg, seqs, **kwargs):
+        waiting.append(len(tokenized))  # every tokenized text not yet encoded
+        tokenized.clear()
+        return text_encode(params, cfg, seqs, **kwargs)
+
+    monkeypatch.setattr(encoders, "encode", counted_encode)
+    monkeypatch.setattr(encoders, "text_encode", recorded_text_encode)
+    texts = [f"the cat sat {i}" for i in range(2 * ENCODE_TEXT_BATCH + 5)]
+    model = TrainedModel(TEXT_CFG, IMG_CFG, params, vocab, log_scale=0.0)
+    assert model.encode_texts(texts).shape == (len(texts), TEXT_CFG.output_dim)
+    assert waiting == [ENCODE_TEXT_BATCH, ENCODE_TEXT_BATCH, 5]
 
 
 def test_invalid_configs_rejected():

@@ -475,6 +475,18 @@ def test_resume_from_torn_final_journal_line(tmp_path):
     assert sorted(e.id for e in read_journal(journal)) == [r.id for r in records]
 
 
+def test_a_torn_journal_line_longer_than_a_read_block_is_cut(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    run_pipeline(fixture_caption_records()[:3], MockBackend(), journal_path=journal,
+                 max_workers=1)
+    complete = journal.read_bytes()
+    journal.write_bytes(complete + b'{"id": "x", "caption": "' + b"y" * 200_000)
+    assert len(read_journal(journal)) == 3
+    assert journal.read_bytes() == complete
+    journal.write_bytes(b"z" * 200_000)
+    assert read_journal(journal) == [] and journal.read_bytes() == b""
+
+
 def test_torn_interior_journal_line_is_data_error(tmp_path):
     journal = tmp_path / "journal.jsonl"
     run_pipeline(fixture_caption_records()[:3], MockBackend(), journal_path=journal,
