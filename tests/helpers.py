@@ -5,6 +5,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,22 @@ def finite_difference_grad(graph: Graph, bindings: dict[str, np.ndarray],
         flat[i] = orig
         gflat[i] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def traced_memory(fn):
+    """``fn()``, the bytes it left allocated and its peak, both counted from
+    what was allocated before the call, as ``tracemalloc`` sees them."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, kept, peak
 
 
 # -- longcap and ablation stand-ins --------------------------------------------------

@@ -2,11 +2,11 @@ import io
 import json
 import re
 import tarfile
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import traced_memory
 from longctx.data import (
     Article,
     CorpusRecord,
@@ -161,16 +161,7 @@ def test_load_corpus_holds_one_line_besides_what_it_keeps(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus(corpus, path)
     del corpus
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        loaded = load_corpus(path)
-        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    loaded, kept, peak = traced_memory(lambda: load_corpus(path))
     assert len(loaded) == 1500 and path.stat().st_size > 3e6
     assert peak - kept < 0.25e6, f"kept {kept / 1e6:.2f} MB, peaked at {peak / 1e6:.2f} MB"
 

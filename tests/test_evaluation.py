@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_zero_shot_records
+from helpers import traced_memory, write_zero_shot_records
 from longctx.errors import UsageError
 from longctx.evaluation import (
     DEFAULT_KS,
@@ -154,16 +152,7 @@ def test_recall_pair_memory_stays_within_one_block():
     # here), besides float64 copies of both lists (2 MB in all)
     rng = np.random.default_rng(21)
     z_img, z_txt = (unit_rows(rng, 4000, 32).astype(np.float32) for _ in range(2))
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        recall_pair(z_img, z_txt)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, _, peak = traced_memory(lambda: recall_pair(z_img, z_txt))
     assert peak < 20e6, f"recall_pair peaked at {peak / 1e6:.1f} MB"
 
 
