@@ -40,6 +40,7 @@ from .data import (
     read_text,
     save_corpus,
     write_benchmark_manifest,
+    write_csv,
 )
 from .errors import DataError, LongCtxError, UsageError
 from .evaluation import (
@@ -116,9 +117,11 @@ ABLATE_KNOBS.update({
     "dtype": (str, "float32", "float64 or float32"),
 })
 
+CORPUS_HELP = "corpus: a record file (jsonl), a .tar shard or a directory of shards"
+
 SCHEMAS = {
     "tokenize-stats": {
-        "corpus": (str, "", "records corpus (jsonl) to analyze"),
+        "corpus": (str, "", CORPUS_HELP),
         "captions": (str, "", "plain text file, one caption per line"),
         "cutoff": (int, 77, "content-token cutoff"),
         "vocab": (str, "", "existing vocabulary directory"),
@@ -136,7 +139,7 @@ SCHEMAS = {
         "out": (str, "", "output directory"),
     },
     "train": {
-        "corpus": (str, "", "records corpus (jsonl)"),
+        "corpus": (str, "", CORPUS_HELP),
         "seed": (int, 0, "seed"),
         "out": (str, "", "output directory"),
         **TRAIN_KNOBS,
@@ -144,7 +147,7 @@ SCHEMAS = {
     "eval-retrieval": {
         "checkpoint": (str, "", "checkpoint file"),
         "vocab": (str, "", "vocabulary directory"),
-        "corpus": (str, "", "records corpus (jsonl)"),
+        "corpus": (str, "", CORPUS_HELP),
         "ks": (str, "1,5,10", "comma-separated recall Ks"),
         "benchmark": (str, "corpus", "benchmark name for the result rows"),
         "block_size": (int, RETRIEVAL_BLOCK, "query rows scored per block"),
@@ -153,7 +156,7 @@ SCHEMAS = {
     "eval-zeroshot": {
         "checkpoint": (str, "", "checkpoint file"),
         "vocab": (str, "", "vocabulary directory"),
-        "corpus": (str, "", "records corpus with image features"),
+        "corpus": (str, "", CORPUS_HELP),
         "task": (str, "", "zero-shot task records (jsonl)"),
         "permute_seed": (int, -1, "option-permutation seed (-1: off)"),
         "out": (str, "", "output directory"),
@@ -174,7 +177,7 @@ SCHEMAS = {
         "out": (str, "", "output directory"),
     },
     "ablate": {
-        "corpus": (str, "", "records corpus (jsonl)"),
+        "corpus": (str, "", CORPUS_HELP),
         "contexts": (str, "77,154,512", "comma-separated context lengths"),
         "ks": (str, "1,5,10", "comma-separated recall Ks"),
         "seed": (int, 0, "seed"),
@@ -273,7 +276,6 @@ def _train_config(cfg: dict, context_length: int, seed: int) -> TrainConfig:
         grad_clip_norm=cfg["grad_clip_norm"],
         seed=seed,
         weight_decay=cfg["weight_decay"],
-        vocab_size=cfg["vocab_size"],
         dtype=cfg["dtype"],
     )
 
@@ -318,7 +320,7 @@ def _ablation_run(cfg: dict, corpus, vocab, context: int, ks) -> AblationRun:
     train_cfg = _train_config(cfg, context, cfg["seed"])
     text_cfg, img_cfg = _encoder_configs(cfg, context, vocab.size, corpus.image_dim)
     start = time.perf_counter()
-    result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
+    result = train(train_cfg, corpus, text_cfg, img_cfg, vocab)
     train_s = time.perf_counter() - start
     z_txt = result.model.encode_texts(corpus.captions())
     z_img = result.model.encode_images(corpus.images())
@@ -500,7 +502,7 @@ def cmd_make_synthetic(cfg: dict) -> int:
         noise_std=cfg["noise_std"], seed=cfg["seed"])
     corpus, labels = generate_synthetic(spec)
     out = prepare_out_dir("make-synthetic", cfg)
-    save_corpus(corpus, out / "corpus.jsonl", format="records")
+    save_corpus(corpus, out / "corpus.jsonl")
     lines = ["id,class_word"]
     lines += [f"{rec.id},{label}" for rec, label in zip(corpus.records, labels)]
     (out / "labels.csv").write_text("\n".join(lines) + "\n")
@@ -519,13 +521,13 @@ def cmd_train(cfg: dict) -> int:
     vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
     text_cfg, img_cfg = _encoder_configs(cfg, cfg["context_length"],
                                          vocab.size, corpus.image_dim)
-    result = train(train_cfg, corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
+    result = train(train_cfg, corpus, text_cfg, img_cfg, vocab)
     save_vocab(vocab, out / "vocab")
     save_checkpoint(out / "checkpoint.npz", text_cfg, img_cfg,
                     result.model.params, result.model.log_scale, vocab=vocab)
     write_loss_curve(result.curve, out / "losscurve.csv")
-    final = result.curve[-1].loss if result.curve else float("nan")
-    print(f"trained {len(result.curve)} steps, final loss {final:.4f} -> {out}")
+    print(f"trained {len(result.curve)} steps, final loss {result.curve[-1].loss:.4f} "
+          f"-> {out}")
     return 0
 
 
@@ -572,8 +574,7 @@ def _load_model(cfg: dict) -> TrainedModel:
         raise DataError(f"vocabulary {vocab_dir} (sha256 {actual[:12]}) is not the one "
                         f"checkpoint {checkpoint} was trained on (sha256 {recorded[:12]})")
     return TrainedModel(text_cfg=text_cfg, img_cfg=img_cfg, params=params,
-                        vocab=vocab, log_scale=log_scale,
-                        dtype=str(params["txt.tok_emb"].dtype))
+                        vocab=vocab, log_scale=log_scale)
 
 
 def cmd_eval_retrieval(cfg: dict) -> int:
@@ -585,9 +586,8 @@ def cmd_eval_retrieval(cfg: dict) -> int:
     z_txt = model.encode_texts(corpus.captions())
     z_img = model.encode_images(corpus.images())
     t2i, i2t = recall_pair(z_img, z_txt, ks=ks, block_size=cfg["block_size"])
-    rows = retrieval_csv_rows(cfg["benchmark"], [t2i, i2t])
-    (out / "retrieval.csv").write_text(
-        RETRIEVAL_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    write_csv(out / "retrieval.csv", RETRIEVAL_CSV_HEADER,
+              retrieval_csv_rows(cfg["benchmark"], [t2i, i2t]))
     summary = format_retrieval_summary(cfg["benchmark"], [t2i, i2t])
     (out / "summary.txt").write_text(summary)
     print(summary.strip())
@@ -648,7 +648,7 @@ def cmd_build_benchmark(cfg: dict) -> int:
     build = build_long_caption_benchmark(articles, seed=cfg["seed"],
                                          min_date=cfg["min_date"])
     out = prepare_out_dir("build-benchmark", cfg)
-    save_corpus(build.corpus, out / "benchmark.jsonl", format="records")
+    save_corpus(build.corpus, out / "benchmark.jsonl")
     write_benchmark_manifest(build, out / "manifest.csv")
     print(f"benchmark: {len(build.corpus)} pairs "
           f"({build.skipped_articles} articles skipped) -> {out}")
@@ -680,12 +680,12 @@ def cmd_ablate(cfg: dict) -> int:
         runs = run_ablation(workers, cfg, corpus,
                             lambda: train_bpe(corpus.captions(), cfg["vocab_size"]),
                             contexts, ks)
-    table = [RETRIEVAL_CSV_HEADER.replace("benchmark", "context")]
+    table = []
     convergence = ["context,step,loss"]
     for r in runs:
         table += retrieval_csv_rows(str(r.context), [r.t2i, r.i2t])
         convergence += [f"{r.context},{p.step},{p.loss!r}" for p in r.curve]
-    (out / "ablation.csv").write_text("\n".join(table) + "\n")
+    write_csv(out / "ablation.csv", ["context", *RETRIEVAL_CSV_HEADER[1:]], table)
     (out / "convergence.csv").write_text("\n".join(convergence) + "\n")
     k = min(ks)
     lines = [f"context R@{k}(t2i) R@{k}(i2t) steps_to_lnB/2"]

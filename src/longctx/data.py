@@ -12,8 +12,10 @@ records, the ``longcap`` journal and zero-shot tasks) is read by
 
 from __future__ import annotations
 
+import csv
 import io
 import json
+import math
 import tarfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,6 +116,15 @@ def json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """The one writer of a CSV output: newline-ended rows, and a field that
+    holds a comma, a quote or a newline quoted as the ``csv`` module does."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def read_text(path) -> str:
     """The UTF-8 text of ``path``; an unreadable or non-UTF-8 file is a
     ``DataError`` naming it."""
@@ -141,23 +152,32 @@ def parse_config_file(path) -> dict[str, str]:
 # -- records / shards I/O ---------------------------------------------------------
 
 
-def load_corpus(path, format: str = "records") -> PairedCorpus:
-    """Load and validate a corpus from a record file or tar shard(s)."""
-    if format == "records":
-        return _load_records(Path(path))
-    if format == "shards":
-        return _load_shards(Path(path))
-    raise UsageError(f"unknown corpus format {format!r}")
+def load_corpus(path) -> PairedCorpus:
+    """Load and validate a corpus: tar shards when ``path`` is a ``.tar`` file
+    or a directory (its ``*.tar`` files, in name order), a record file
+    otherwise."""
+    path = Path(path)
+    if path.is_dir() or path.suffix == ".tar":
+        return _corpus_from(path, _shard_records(path))
+    return _corpus_from(path, read_json_lines(path, "record", lambda obj: CorpusRecord(
+        id=str(obj["id"]),
+        image=_features(obj["image"]),
+        caption=str(obj["caption"]),
+        context=object_field(obj.get("context", {}), "context"),
+    )))
 
 
-def save_corpus(corpus: PairedCorpus, path, format: str = "records",
-                shard_size: int = 1000) -> None:
-    if format == "records":
-        _save_records(corpus, Path(path))
-    elif format == "shards":
-        _save_shards(corpus, Path(path), shard_size)
-    else:
-        raise UsageError(f"unknown corpus format {format!r}")
+def save_corpus(corpus: PairedCorpus, path) -> None:
+    """Write ``corpus`` as a record file, one JSON line per record."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        for rec in corpus.records:
+            obj = {"id": rec.id, "image": [float(x) for x in rec.image],
+                   "caption": rec.caption}
+            if rec.context:
+                obj["context"] = rec.context
+            fh.write(json_line(obj))
 
 
 def _corpus_from(path: Path, records: list[CorpusRecord]) -> PairedCorpus:
@@ -177,30 +197,19 @@ def _features(value) -> np.ndarray:
     return image
 
 
-def _context_object(value) -> dict:
+def object_field(value, key: str) -> dict:
+    """The record field ``key``, which must be a JSON object."""
     if not isinstance(value, dict):
-        raise TypeError(f"context must be a JSON object, got {type(value).__name__}")
+        raise TypeError(f"{key} must be a JSON object, got {type(value).__name__}")
     return value
 
 
-def _load_records(path: Path) -> PairedCorpus:
-    return _corpus_from(path, read_json_lines(path, "record", lambda obj: CorpusRecord(
-        id=str(obj["id"]),
-        image=_features(obj["image"]),
-        caption=str(obj["caption"]),
-        context=_context_object(obj.get("context", {})),
-    )))
-
-
-def _save_records(corpus: PairedCorpus, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for rec in corpus.records:
-            obj = {"id": rec.id, "image": [float(x) for x in rec.image],
-                   "caption": rec.caption}
-            if rec.context:
-                obj["context"] = rec.context
-            fh.write(json_line(obj))
+def string_list_field(value, key: str) -> tuple[str, ...]:
+    """The record field ``key``, which must be a JSON list of strings (a bare
+    string would read as its characters)."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{key} must be a JSON list of strings, got {value!r:.40}")
+    return tuple(value)
 
 
 def _shard_paths(path: Path) -> list[Path]:
@@ -220,7 +229,7 @@ _MEMBER_DECODERS = {
 }
 
 
-def _load_shards(path: Path) -> PairedCorpus:
+def _shard_records(path: Path) -> list[CorpusRecord]:
     records = []
     for shard in _shard_paths(path):
         members: dict[str, dict[str, object]] = {}
@@ -238,7 +247,7 @@ def _load_shards(path: Path) -> PairedCorpus:
                     except (ValueError, TypeError) as exc:
                         raise DataError(f"{shard}: malformed member {info.name!r} "
                                         f"({exc})") from exc
-        except tarfile.TarError as exc:
+        except (OSError, tarfile.TarError) as exc:
             raise DataError(f"cannot read shard {shard}: {exc}") from exc
         for base in sorted(members):
             parts = members[base]
@@ -247,30 +256,7 @@ def _load_shards(path: Path) -> PairedCorpus:
                 raise DataError(f"{shard}: member {base!r} is missing its .{missing} half")
             records.append(CorpusRecord(id=base, image=parts["npy"], caption=parts["txt"],
                                         context=parts.get("json", {})))
-    return _corpus_from(path, records)
-
-
-def _save_shards(corpus: PairedCorpus, path: Path, shard_size: int) -> None:
-    path.mkdir(parents=True, exist_ok=True)
-    chunks = [corpus.records[i:i + shard_size]
-              for i in range(0, len(corpus.records), shard_size)]
-    for si, chunk in enumerate(chunks):
-        with tarfile.open(path / f"shard-{si:05d}.tar", "w") as tar:
-            for rec in chunk:
-                buf = io.BytesIO()
-                np.save(buf, rec.image)
-                _add_member(tar, f"{rec.id}.npy", buf.getvalue())
-                _add_member(tar, f"{rec.id}.txt", rec.caption.encode("utf-8"))
-                if rec.context:
-                    _add_member(tar, f"{rec.id}.json",
-                                json.dumps(rec.context, sort_keys=True).encode("utf-8"))
-
-
-def _add_member(tar, name, payload: bytes):
-    info = tarfile.TarInfo(name)
-    info.size = len(payload)
-    info.mtime = 0
-    tar.addfile(info, io.BytesIO(payload))
+    return records
 
 
 # -- long-caption benchmark --------------------------------------------------------
@@ -337,15 +323,13 @@ def load_articles(path) -> list[Article]:
             Figure(figure_id=str(f["figure_id"]),
                    image=_features(f["image"]),
                    caption=str(f["caption"]),
-                   inline_refs=tuple(f.get("inline_refs", [])))
+                   inline_refs=string_list_field(f.get("inline_refs", []), "inline_refs"))
             for f in obj.get("figures", [])),
         date=str(obj.get("date", ""))))
 
 
 def write_benchmark_manifest(build: BenchmarkBuild, path) -> None:
-    lines = ["id,article_id,caption_words"]
-    lines += [f"{pid},{aid},{n}" for pid, aid, n in build.manifest]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["id", "article_id", "caption_words"], build.manifest)
 
 
 # -- synthetic ablation corpus ------------------------------------------------------
@@ -390,6 +374,11 @@ class SyntheticSpec:
                 f"capacity {len(CLASS_WORDS)}")
         if self.num_classes < 1 or self.samples_per_class < 1:
             raise UsageError("need at least one class and one sample per class")
+        if self.image_dim < 1:
+            raise UsageError(f"image_dim must be at least 1, not {self.image_dim}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise UsageError(f"noise_std must be a finite number of at least 0, "
+                             f"not {self.noise_std}")
 
 
 MAX_PROTOTYPE_COSINE = 0.5

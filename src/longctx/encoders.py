@@ -64,6 +64,10 @@ class ImageEncoderConfig:
             raise UsageError("image encoder dims must be positive")
 
 
+# the names of the zero-initialized, never-decayed biases; gains end in ".g"
+BIAS_SUFFIXES = (".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")
+
+
 def param_shapes(text_cfg: TextEncoderConfig, img_cfg: ImageEncoderConfig) -> dict[str, tuple]:
     """Name -> shape map shared by initialization and graph construction."""
     if text_cfg.output_dim != img_cfg.output_dim:
@@ -108,7 +112,7 @@ def init_params(text_cfg: TextEncoderConfig, img_cfg: ImageEncoderConfig,
     for name, shape in param_shapes(text_cfg, img_cfg).items():
         if name.endswith(".g"):
             params[name] = np.ones(shape)
-        elif name.endswith((".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")):
+        elif name.endswith(BIAS_SUFFIXES):
             params[name] = np.zeros(shape)
         else:
             rng = np.random.default_rng(
@@ -283,7 +287,11 @@ class TrainedModel:
     params: dict
     vocab: Vocab
     log_scale: float
-    dtype: str = "float64"
+
+    @property
+    def dtype(self) -> str:
+        """The weights' dtype, in which every forward pass runs."""
+        return str(self.params["txt.tok_emb"].dtype)
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:
         """Unit embeddings of ``texts``, tokenized one batch at a time."""

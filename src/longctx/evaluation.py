@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_json_lines
+from .data import read_json_lines, string_list_field
 from .errors import DataError, UsageError
 
 DEFAULT_KS = (1, 5, 10)
@@ -173,25 +173,30 @@ def permute_options(task: ZeroShotTask, seed: int) -> ZeroShotTask:
 # -- task and result files -------------------------------------------------------------
 
 
+def _correct_index(value) -> int:
+    # bool is an int subclass: true would read as 1
+    if type(value) is not int:
+        raise TypeError(f"correct must be an integer, got {value!r:.40}")
+    return value
+
+
 def read_zero_shot_records(path):
     """Line-delimited task records: (image ref, option list, correct index)."""
     records = read_json_lines(path, "task record", lambda obj: (
-        str(obj["image"]), tuple(str(o) for o in obj["options"]), int(obj["correct"])))
+        str(obj["image"]), string_list_field(obj["options"], "options"),
+        _correct_index(obj["correct"])))
     if not records:
         raise DataError(f"{path}: no task records")
     return records
 
 
-RETRIEVAL_CSV_HEADER = "benchmark,direction,K,recall"
+RETRIEVAL_CSV_HEADER = ["benchmark", "direction", "K", "recall"]
 
 
-def retrieval_csv_rows(benchmark: str, results) -> list[str]:
+def retrieval_csv_rows(benchmark: str, results) -> list[list[str]]:
     """Rows matching the (benchmark, direction, K, recall) table layout."""
-    rows = []
-    for res in results:
-        for k in sorted(res.recalls):
-            rows.append(f"{benchmark},{res.direction},{k},{res.recalls[k]:.6f}")
-    return rows
+    return [[benchmark, res.direction, str(k), f"{res.recalls[k]:.6f}"]
+            for res in results for k in sorted(res.recalls)]
 
 
 def format_retrieval_summary(benchmark: str, results) -> str:

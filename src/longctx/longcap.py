@@ -21,7 +21,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import json_line, read_json_lines
+from .data import json_line, object_field, read_json_lines, string_list_field
 from .errors import DataError, UsageError
 
 TEMPLATE_VERSION = "v1"
@@ -498,9 +498,9 @@ def read_caption_records(path) -> list[CaptionRecord]:
             id=str(obj["id"]),
             image_ref=str(obj.get("image_ref", "")),
             caption=str(obj["caption"]),
-            inline_mentions=tuple(obj.get("inline_mentions", [])),
+            inline_mentions=string_list_field(obj.get("inline_mentions", []), "inline_mentions"),
             abstract=str(obj.get("abstract", "")),
-            acronym_map=dict(obj.get("acronym_map", {})),
+            acronym_map=object_field(obj.get("acronym_map", {}), "acronym_map"),
         )
         if record.id in seen:
             raise UsageError(f"duplicate record id {record.id!r}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import PairedCorpus
 from .encoders import (
+    BIAS_SUFFIXES,
     ImageEncoderConfig,
     TextEncoderConfig,
     TrainedModel,
@@ -26,10 +27,11 @@ from .encoders import (
     batch_arrays,
     build_image_tower,
     build_text_tower,
+    init_params,
 )
 from .errors import NumericError, UsageError
 from .numerics import Graph, backward, forward
-from .tokenizer import Vocab, encode, train_bpe
+from .tokenizer import Vocab, encode
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
@@ -50,18 +52,24 @@ class TrainConfig:
     grad_clip_norm: float = 1.0
     seed: int = 0
     weight_decay: float = 0.2
-    vocab_size: int = 8192
     dtype: str = "float64"
 
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise UsageError(f"dtype must be float32 or float64, not {self.dtype!r}")
-        if self.learning_rate <= 0:
-            raise UsageError("learning_rate must be positive")
-        if self.grad_clip_norm <= 0:
-            raise UsageError("grad_clip_norm must be positive")
+        for name in ("learning_rate", "grad_clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise UsageError(f"{name} must be a positive finite number, not {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise UsageError(f"weight_decay must be a finite number of at least 0, "
+                             f"not {self.weight_decay}")
         if self.batch_size < 2:
             raise UsageError("contrastive training needs batch_size >= 2")
+        if self.max_epochs < 1:
+            raise UsageError(f"max_epochs must be at least 1, not {self.max_epochs}")
+        if self.warmup_steps < 0:
+            raise UsageError(f"warmup_steps must be at least 0, not {self.warmup_steps}")
 
 
 class FlatBuffers:
@@ -172,7 +180,7 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[dict, float]:
 
 def decayable(name: str) -> bool:
     """Decoupled weight decay applies to weight matrices only."""
-    return (not name.endswith((".g", ".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2"))
+    return (not name.endswith((".g", *BIAS_SUFFIXES))
             and name not in ("txt.pos_emb", "log_scale"))
 
 
@@ -190,30 +198,18 @@ def _build_train_graph(text_cfg, img_cfg, batch, seq_len, dtype) -> Graph:
     return g
 
 
-def train(cfg: TrainConfig, corpus: PairedCorpus,
-          text_cfg: TextEncoderConfig | None = None,
-          img_cfg: ImageEncoderConfig | None = None,
-          vocab: Vocab | None = None) -> TrainResult:
+def train(cfg: TrainConfig, corpus: PairedCorpus, text_cfg: TextEncoderConfig,
+          img_cfg: ImageEncoderConfig, vocab: Vocab) -> TrainResult:
     """Full training run over seeded shuffled epochs; drops partial batches.
 
-    The vocabulary is trained on the corpus captions when not supplied.
     Aborts with a step-naming diagnostic if the loss leaves the finite
     domain.
     """
     if len(corpus) < cfg.batch_size:
         raise UsageError(f"corpus size {len(corpus)} < batch_size {cfg.batch_size}")
-    if vocab is None:
-        vocab = train_bpe(corpus.captions(), cfg.vocab_size)
-    if text_cfg is None:
-        text_cfg = TextEncoderConfig(context_length=cfg.context_length,
-                                     vocab_size=vocab.size)
     if text_cfg.context_length != cfg.context_length:
         raise UsageError("text_cfg.context_length must match cfg.context_length")
-    if img_cfg is None:
-        img_cfg = ImageEncoderConfig(input_dim=corpus.image_dim,
-                                     output_dim=text_cfg.output_dim)
 
-    from .encoders import init_params  # local to avoid cycle at import time
     params = {k: v.astype(cfg.dtype) for k, v in init_params(text_cfg, img_cfg,
                                                              cfg.seed).items()}
     params["log_scale"] = np.asarray(LOG_SCALE_INIT, dtype=cfg.dtype)
@@ -255,7 +251,7 @@ def train(cfg: TrainConfig, corpus: PairedCorpus,
             state.flat.gather(backward(tape, output="loss"), state.flat.g)
             clip_gradients(state.grads, cfg.grad_clip_norm)
             lr = lr_schedule(state.step, cfg, total_steps)
-            _adamw_update(state, state.grads, lr, cfg)
+            _adamw_update(state, lr, cfg)
             state.log_scale = min(float(state.params["log_scale"]), LOG_SCALE_MAX)
             state.params["log_scale"][...] = state.log_scale
             curve.append(LossPoint(step=state.step, loss=loss, lr=lr,
@@ -263,8 +259,7 @@ def train(cfg: TrainConfig, corpus: PairedCorpus,
             state.step += 1
 
     model = TrainedModel(text_cfg=text_cfg, img_cfg=img_cfg,
-                         params=state.params, vocab=vocab,
-                         log_scale=state.log_scale, dtype=cfg.dtype)
+                         params=state.params, vocab=vocab, log_scale=state.log_scale)
     return TrainResult(model=model, state=state, curve=curve)
 
 
@@ -272,16 +267,13 @@ def _round_up(n: int, multiple: int, cap: int) -> int:
     return min(cap, ((n + multiple - 1) // multiple) * multiple)
 
 
-def _adamw_update(state: TrainState, grads: dict, lr: float, cfg: TrainConfig) -> None:
-    """Decoupled-weight-decay Adam over the flat buffers, in place.  The
-    gradients are copied into ``flat.g`` unless they are its views already
-    (``state.grads``); the update then uses that buffer as scratch."""
+def _adamw_update(state: TrainState, lr: float, cfg: TrainConfig) -> None:
+    """Decoupled-weight-decay Adam over the flat buffers, in place, with the
+    gradient in ``flat.g``; the update then uses that buffer as scratch."""
     f = state.flat
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    if grads is not state.grads:
-        f.gather(grads, f.g)
     f.m *= ADAM_BETA1
     f.m += np.multiply(f.g, 1.0 - ADAM_BETA1, out=f.scratch)
     f.v *= ADAM_BETA2

@@ -1,9 +1,12 @@
 """Shared test fixtures and oracles."""
 
+import io
+import json
 import math
 import os
 import re
 import signal
+import tarfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -15,8 +18,43 @@ from longctx.data import PairedCorpus, json_line
 from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
 from longctx.numerics import LAYERNORM_EPS, Graph, _fwd, _sum_to_shape, _vjp, forward
-from longctx.tokenizer import _CHUNK_RE, Vocab
-from longctx.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, decayable
+from longctx.tokenizer import _CHUNK_RE, Vocab, train_bpe
+from longctx.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, decayable, train
+
+
+def save_shards(corpus: PairedCorpus, path, shard_size: int = 1000) -> None:
+    """``corpus`` as tar shards under the directory ``path``: per record an
+    ``<id>.npy`` image member, an ``<id>.txt`` caption member and, when it
+    has a context, an ``<id>.json`` member; ``shard_size`` records a shard."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    for si, start in enumerate(range(0, len(corpus.records), shard_size)):
+        with tarfile.open(path / f"shard-{si:05d}.tar", "w") as tar:
+            for rec in corpus.records[start:start + shard_size]:
+                buf = io.BytesIO()
+                np.save(buf, rec.image)
+                _add_member(tar, f"{rec.id}.npy", buf.getvalue())
+                _add_member(tar, f"{rec.id}.txt", rec.caption.encode("utf-8"))
+                if rec.context:
+                    _add_member(tar, f"{rec.id}.json",
+                                json.dumps(rec.context, sort_keys=True).encode("utf-8"))
+
+
+def _add_member(tar, name: str, payload: bytes) -> None:
+    info = tarfile.TarInfo(name)
+    info.size = len(payload)
+    info.mtime = 0
+    tar.addfile(info, io.BytesIO(payload))
+
+
+def train_with_bpe(cfg, corpus, vocab_size: int = 300):
+    """``trainer.train`` on a BPE vocabulary of the corpus captions, with the
+    encoders of ``longctx train``'s defaults."""
+    vocab = train_bpe(corpus.captions(), vocab_size)
+    defaults = {key: default for key, (_, default, _) in cli.SCHEMAS["train"].items()}
+    text_cfg, img_cfg = cli._encoder_configs(defaults, cfg.context_length, vocab.size,
+                                             corpus.image_dim)
+    return train(cfg, corpus, text_cfg, img_cfg, vocab)
 
 
 def unit_rows(rng, n, d):
@@ -194,13 +232,14 @@ def reference_vjp(node, xs, y, gy, aux):
     return _vjp(node, xs, y, gy, aux)
 
 
-def reference_adamw_update(state, grads, lr, cfg) -> None:
-    """AdamW one parameter at a time; each new parameter is written into
-    place, so ``state.params`` keeps its arrays."""
+def reference_adamw_update(state, lr, cfg) -> None:
+    """AdamW one parameter at a time, from the gradients in ``state.grads``;
+    each new parameter is written into place, so ``state.params`` keeps its
+    arrays."""
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for k, g in grads.items():
+    for k, g in state.grads.items():
         m = state.m[k]
         v = state.v[k]
         m *= ADAM_BETA1

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gc
 import json
 import multiprocessing
@@ -26,6 +27,7 @@ from helpers import (
     context_and_start_time,
     fixture_caption_records,
     run_ablation,
+    save_shards,
     write_zero_shot_records,
 )
 from longctx import cli
@@ -58,7 +60,7 @@ def small_corpus_file(tmp_path_factory):
                          distractor_prefix_tokens=4, class_token_position=6, seed=2)
     corpus, labels = generate_synthetic(spec)
     path = tmp_path_factory.mktemp("data") / "corpus.jsonl"
-    save_corpus(corpus, path, format="records")
+    save_corpus(corpus, path)
     return path
 
 
@@ -115,6 +117,27 @@ def test_tokenize_stats_captions_split_on_newlines_only(tmp_path):
                 "--out", str(out)]) == 0
     expected = corpus_token_stats(train_bpe(captions, 300), captions, 77)
     assert (out / "report.txt").read_text().startswith(format_waste_report(expected))
+
+
+def test_tokenize_stats_reads_shards_from_a_directory_or_a_tar_file(tmp_path,
+                                                                    small_corpus_file, capsys):
+    corpus = load_corpus(small_corpus_file)
+    save_shards(corpus, tmp_path / "shards", shard_size=7)
+    save_shards(corpus, tmp_path / "one")
+    inputs = {"records": small_corpus_file, "directory": tmp_path / "shards",
+              "tar": tmp_path / "one" / "shard-00000.tar"}
+    for name, path in inputs.items():
+        assert run(["tokenize-stats", "--corpus", str(path), "--vocab-size", "300",
+                    "--out", str(tmp_path / name)]) == 0
+    summaries = {name: (tmp_path / name / "summary.csv").read_text() for name in inputs}
+    assert summaries["directory"] == summaries["tar"] == summaries["records"]
+    # a directory without shards is still one diagnostic line
+    (tmp_path / "empty").mkdir()
+    capsys.readouterr()
+    assert run(["tokenize-stats", "--corpus", str(tmp_path / "empty"),
+                "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"longctx tokenize-stats: error: no .tar shards under {tmp_path / 'empty'}\n"
 
 
 def test_tokenize_stats_requires_input(tmp_path, capsys):
@@ -431,19 +454,36 @@ def test_a_loaded_model_encodes_its_batches_on_pages_it_keeps(tmp_path):
     save_checkpoint(tmp_path / "ckpt.npz", text_cfg, img_cfg,
                     init_params(text_cfg, img_cfg, seed=0), 2.0, vocab=vocab)
     (tmp_path / "captions.json").write_text(json.dumps(corpus.captions()))
-    # a child interpreter: the test process's heap has its own history
-    script = ("import json, resource, sys; from longctx import cli; "
-              "model = cli._load_model({'checkpoint': sys.argv[1], 'vocab': sys.argv[2]}); "
-              "texts = json.load(open(sys.argv[3])); model.encode_texts(texts); "
-              "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
-              "model.encode_texts(texts); "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)")
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "ckpt.npz"),
-                           str(tmp_path / "vocab"), str(tmp_path / "captions.json")],
-                          capture_output=True, text=True, env=_child_env(SRC), timeout=120,
-                          check=True)
-    # five batches; a batch that faults its arrays in again takes about 1,850
-    assert int(proc.stdout) < 500, proc.stdout
+    faults = {}
+    for child in ("kept", "control"):
+        # a child interpreter: the test process's heap has its own history
+        proc = subprocess.run([sys.executable, "-c", PAGE_FAULT_CHILD, child,
+                               str(tmp_path / "ckpt.npz"), str(tmp_path / "vocab"),
+                               str(tmp_path / "captions.json")],
+                              capture_output=True, text=True, env=_child_env(SRC),
+                              timeout=120, check=True)
+        faults[child] = int(proc.stdout)
+    # five batches: the control faults each batch's arrays in again, thousands
+    # of faults a batch, whatever the machine's own fault count
+    assert 10 * faults["kept"] < faults["control"], faults
+
+
+# the page faults of a second pass of a loaded model over the same captions;
+# the "control" child loads it on glibc's default heap thresholds
+PAGE_FAULT_CHILD = """
+import json, resource, sys
+from longctx import cli
+child, checkpoint, vocab, captions = sys.argv[1:]
+if child == "control":
+    cli._keep_freed_heap = lambda: None
+model = cli._load_model({"checkpoint": checkpoint, "vocab": vocab})
+with open(captions) as fh:
+    texts = json.load(fh)
+model.encode_texts(texts)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+model.encode_texts(texts)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+"""
 
 
 def test_eval_retrieval_keeps_checkpoint_dtype(tmp_path, small_corpus_file, monkeypatch):
@@ -453,8 +493,7 @@ def test_eval_retrieval_keeps_checkpoint_dtype(tmp_path, small_corpus_file, monk
                                  num_layers=1, num_heads=2, output_dim=8)
     img_cfg = ImageEncoderConfig(input_dim=corpus.image_dim, hidden_dim=16, output_dim=8)
     result = train(TrainConfig(context_length=16, batch_size=10, max_epochs=1,
-                               dtype="float32"),
-                   corpus, text_cfg=text_cfg, img_cfg=img_cfg, vocab=vocab)
+                               dtype="float32"), corpus, text_cfg, img_cfg, vocab)
     save_vocab(vocab, tmp_path / "vocab")
     save_checkpoint(tmp_path / "ckpt.npz", text_cfg, img_cfg,
                     result.model.params, result.model.log_scale)
@@ -716,6 +755,19 @@ BAD_ARGUMENTS = [
     ("eval-zeroshot", [*MODEL, "--corpus", "{corpus}", "--task", "{empty}"], "{empty}"),
     ("tokenize-stats", ["--corpus", "{corpus}", "--cutoff", "-5"], "cutoff"),
     ("longcap", ["--records", "{records}", "--workers", "-3"], "workers"),
+    # a NaN rate would surface as a zero-norm embedding; 0 epochs saved an untrained model
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--learning-rate", "nan"], "learning_rate"),
+    ("ablate", ["--corpus", "{corpus}", *TINY_TRAIN[2:], "--contexts", "16",
+                "--learning-rate", "nan"], "learning_rate"),
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--grad-clip-norm", "inf"],
+     "grad_clip_norm"),
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--max-epochs", "0"], "max_epochs"),
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--weight-decay", "-1"], "weight_decay"),
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--warmup-steps", "-3"], "warmup_steps"),
+    # a NaN noise scale wrote a corpus that every reader refuses
+    ("make-synthetic", ["--noise-std", "nan"], "noise_std"),
+    ("make-synthetic", ["--noise-std", "-1"], "noise_std"),
+    ("make-synthetic", ["--image-dim", "0"], "image_dim"),
 ]
 
 
@@ -732,6 +784,24 @@ def test_bad_argument_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
     assert err.startswith(f"longctx {command}: error: ") and err.count("\n") == 1, err
     assert named.format(**paths) in err
     assert not (tmp_path / "out").exists(), "refused before any output"
+
+
+def test_fields_from_the_input_are_quoted_in_csv_outputs(tmp_path, valid_inputs):
+    articles = tmp_path / "articles.jsonl"
+    articles.write_text(json.dumps({"article_id": "A,1", "figures": [
+        {"figure_id": "f", "image": [0.1, 0.2], "caption": "two words"}]}) + "\n")
+    assert run(["build-benchmark", "--articles", str(articles),
+                "--out", str(tmp_path / "bench")]) == 0
+    with (tmp_path / "bench" / "manifest.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["id", "article_id", "caption_words"],
+                                        ["A,1/f", "A,1", "2"]]
+    assert run(["eval-retrieval", "--checkpoint", str(valid_inputs["checkpoint"]),
+                "--vocab", str(valid_inputs["vocab"]), "--corpus", str(valid_inputs["corpus"]),
+                "--benchmark", "set,a", "--ks", "1", "--out", str(tmp_path / "eval")]) == 0
+    with (tmp_path / "eval" / "retrieval.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["benchmark", "direction", "K", "recall"]
+    assert [row[:3] for row in rows[1:]] == [["set,a", "t2i", "1"], ["set,a", "i2t", "1"]]
 
 
 COUNT_LISTS = [

@@ -6,7 +6,7 @@ import tarfile
 import numpy as np
 import pytest
 
-from helpers import traced_memory
+from helpers import save_shards, traced_memory
 from longctx.data import (
     Article,
     CorpusRecord,
@@ -38,8 +38,8 @@ def small_corpus(n=3, dim=4):
 def test_records_round_trip(tmp_path):
     corpus = small_corpus()
     path = tmp_path / "corpus.jsonl"
-    save_corpus(corpus, path, format="records")
-    loaded = load_corpus(path, format="records")
+    save_corpus(corpus, path)
+    loaded = load_corpus(path)
     assert len(loaded) == 3
     for a, b in zip(corpus.records, loaded.records):
         assert a.id == b.id and a.caption == b.caption
@@ -49,8 +49,8 @@ def test_records_round_trip(tmp_path):
 
 def test_shards_round_trip(tmp_path):
     corpus = small_corpus(n=5)
-    save_corpus(corpus, tmp_path / "shards", format="shards", shard_size=2)
-    loaded = load_corpus(tmp_path / "shards", format="shards")
+    save_shards(corpus, tmp_path / "shards", shard_size=2)
+    loaded = load_corpus(tmp_path / "shards")
     assert sorted(r.id for r in loaded.records) == sorted(r.id for r in corpus.records)
     for rec in corpus.records:
         got = loaded[rec.id]
@@ -61,11 +61,11 @@ def test_shards_round_trip(tmp_path):
 
 def test_records_then_shards_then_records_identical(tmp_path):
     corpus = small_corpus(n=4)
-    save_corpus(corpus, tmp_path / "a.jsonl", format="records")
+    save_corpus(corpus, tmp_path / "a.jsonl")
     mid = load_corpus(tmp_path / "a.jsonl")
-    save_corpus(mid, tmp_path / "shards", format="shards")
-    back = load_corpus(tmp_path / "shards", format="shards")
-    save_corpus(back, tmp_path / "b.jsonl", format="records")
+    save_shards(mid, tmp_path / "shards")
+    back = load_corpus(tmp_path / "shards")
+    save_corpus(back, tmp_path / "b.jsonl")
     a = sorted((tmp_path / "a.jsonl").read_text().splitlines())
     b = sorted((tmp_path / "b.jsonl").read_text().splitlines())
     assert a == b
@@ -101,7 +101,7 @@ def test_shard_missing_member_names_basename(tmp_path):
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
     with pytest.raises(DataError, match="orphan"):
-        load_corpus(shard, format="shards")
+        load_corpus(shard)
 
 
 # -- the input boundary ----------------------------------------------------------
@@ -191,10 +191,10 @@ def test_duplicate_id_in_a_file_names_the_file(tmp_path, format):
         # two shards, each with record 'a'
         path = tmp_path / "shards"
         for i in range(2):
-            save_corpus(small_corpus(n=1), path / f"{i}", format="shards")
+            save_shards(small_corpus(n=1), path / f"{i}")
             (path / f"{i}" / "shard-00000.tar").rename(path / f"s{i}.tar")
     with pytest.raises(DataError, match=re.escape(f"{path}: duplicate record id")):
-        load_corpus(path, format=format)
+        load_corpus(path)
 
 
 @pytest.mark.parametrize("context", [5, "k", [1], None])
@@ -205,6 +205,31 @@ def test_record_context_must_be_an_object(tmp_path, context):
     with pytest.raises(DataError, match=re.escape(f"{path} line 2: malformed record") +
                        ".*context must be a JSON object"):
         load_corpus(path)
+
+
+# a field whose value a reader would otherwise convert: a string read as its
+# characters, a boolean read as 0 or 1, a list of pairs read as a mapping
+WRONG_TYPES = {
+    "options": (read_zero_shot_records, {"image": "a", "options": ["x", "y"], "correct": 0},
+                "cat"),
+    "correct": (read_zero_shot_records, {"image": "a", "options": ["x", "y"], "correct": 0},
+                True),
+    "inline_refs": (load_articles, {"article_id": "a", "figures": [
+        {"figure_id": "f", "image": [0.0], "caption": "cap"}]}, "see here"),
+    "inline_mentions": (read_caption_records, {"id": "a", "caption": "cap"}, "abc"),
+    "acronym_map": (read_caption_records, {"id": "a", "caption": "cap"}, [["HE", "stain"]]),
+}
+
+
+@pytest.mark.parametrize("field", WRONG_TYPES)
+def test_a_field_of_the_wrong_type_names_file_and_line(tmp_path, field):
+    read, valid, wrong = WRONG_TYPES[field]
+    bad = json.loads(json.dumps(valid))
+    (bad["figures"][0] if field == "inline_refs" else bad)[field] = wrong
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(_line(valid) + _line(bad))
+    with pytest.raises(DataError, match=re.escape(f"{path} line 2: malformed") + f".*{field}"):
+        read(path)
 
 
 def _npy(array) -> bytes:
@@ -229,7 +254,7 @@ def test_bad_shard_member_names_shard_and_member(tmp_path, member, payload):
             info.size = len(data)
             tar.addfile(info, io.BytesIO(data))
     with pytest.raises(DataError, match=re.escape(f"{shard}: malformed member '{member}'")):
-        load_corpus(shard, format="shards")
+        load_corpus(shard)
 
 
 # -- benchmark builder ---------------------------------------------------------

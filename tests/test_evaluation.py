@@ -314,6 +314,6 @@ def test_task_records_round_trip(tmp_path):
 def test_result_rendering():
     res = RetrievalResult("t2i", {1: 0.5, 5: 0.75}, np.array([1, 3]), {})
     rows = retrieval_csv_rows("bench", [res])
-    assert rows[0] == "bench,t2i,1,0.500000"
+    assert rows[0] == ["bench", "t2i", "1", "0.500000"]
     text = format_retrieval_summary("bench", [res])
     assert "R@5=0.7500" in text
