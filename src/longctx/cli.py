@@ -65,7 +65,6 @@ from .longcap import (
     write_output_corpus,
 )
 from .tokenizer import (
-    WASTE_CSV_HEADER,
     check_cutoff,
     corpus_token_stats,
     format_waste_report,
@@ -73,7 +72,7 @@ from .tokenizer import (
     save_vocab,
     train_bpe,
     vocab_fingerprint,
-    waste_report_csv_row,
+    waste_report_fields,
 )
 
 # training and checkpoints load numerics, encoders and the trainer: the
@@ -167,7 +166,6 @@ SCHEMAS = {
         "workers": (int, None, "max in-flight records (default: 1 for the mock "
                                "backend, 4 for HTTP; a flag, config or env value wins)"),
         "resume": (str, "", "journal file to resume from (default: out/journal.jsonl)"),
-        "seed": (int, 0, "mock backend seed"),
         "out": (str, "", "output directory"),
     },
     "build-benchmark": {
@@ -199,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(command)
         sub.add_argument("--config", default=None, help="flat key=value config file")
         for key, (typ, default, help_text) in schema.items():
-            shown = "" if default is None else f" (default: {default})"
+            shown = "" if default in (None, "") else f" (default: {default})"
             sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                              default=None, help=help_text + shown)
     return parser
@@ -487,8 +485,8 @@ def cmd_tokenize_stats(cfg: dict) -> int:
                   f"asked for; no pair was left to merge")
     report = corpus_token_stats(vocab, captions, cfg["cutoff"])
     (out / "report.txt").write_text(format_waste_report(report) + short)
-    (out / "summary.csv").write_text(
-        WASTE_CSV_HEADER + "\n" + waste_report_csv_row(report) + "\n")
+    fields = waste_report_fields(report)
+    write_csv(out / "summary.csv", list(fields), [list(fields.values())])
     print(f"cutoff={report.cutoff} waste_fraction={report.waste_fraction:.4f} "
           f"({report.wasted_tokens}/{report.total_tokens} tokens) -> {out}")
     return 0
@@ -503,9 +501,8 @@ def cmd_make_synthetic(cfg: dict) -> int:
     corpus, labels = generate_synthetic(spec)
     out = prepare_out_dir("make-synthetic", cfg)
     save_corpus(corpus, out / "corpus.jsonl")
-    lines = ["id,class_word"]
-    lines += [f"{rec.id},{label}" for rec, label in zip(corpus.records, labels)]
-    (out / "labels.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "labels.csv", ["id", "class_word"],
+              ([rec.id, label] for rec, label in zip(corpus.records, labels)))
     print(f"wrote {len(corpus)} records ({spec.num_classes} classes) -> {out}")
     return 0
 
@@ -611,10 +608,9 @@ def cmd_eval_zeroshot(cfg: dict) -> int:
         task = permute_options(task, cfg["permute_seed"])
     outcome = zero_shot_classify(task, model)
     out = prepare_out_dir("eval-zeroshot", cfg)
-    lines = ["item,prediction,correct"]
-    lines += [f"{i},{p},{c}" for i, (p, c) in
-              enumerate(zip(outcome.predictions, task.correct_index))]
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "predictions.csv", ["item", "prediction", "correct"],
+              ([i, p, c] for i, (p, c) in
+               enumerate(zip(outcome.predictions, task.correct_index))))
     (out / "summary.txt").write_text(f"accuracy={outcome.accuracy:.6f}\n"
                                      f"items={len(records)}\n")
     print(f"zero-shot accuracy {outcome.accuracy:.4f} on {len(records)} items -> {out}")
@@ -623,7 +619,7 @@ def cmd_eval_zeroshot(cfg: dict) -> int:
 
 def cmd_longcap(cfg: dict) -> int:
     records = read_caption_records(_require_input(cfg, "records"))
-    backend = make_backend(cfg["backend"], seed=cfg["seed"])
+    backend = make_backend(cfg["backend"])
     if cfg["workers"] is None:
         # the in-process mock is CPU-bound: extra threads only contend for
         # the interpreter lock, while HTTP calls overlap their waiting
@@ -655,16 +651,13 @@ def cmd_build_benchmark(cfg: dict) -> int:
     return 0
 
 
-TIMINGS_CSV_HEADER = "context,steps,train_s,step_ms_p50,step_ms_p95,worker_peak_rss_mb"
-
-
-def _timings_row(r: AblationRun) -> str:
+def _timings_row(r: AblationRun) -> list:
     """Step times are the gaps between the loss curve's marks, so step 0
     (no start mark) is left out; ``nan`` when fewer than two steps ran."""
     steps = 1e3 * np.diff([p.seconds for p in r.curve])
     p50, p95 = np.percentile(steps, (50, 95)) if len(steps) else (math.nan, math.nan)
-    return (f"{r.context},{len(r.curve)},{r.train_s:.3f},{p50:.3f},{p95:.3f},"
-            f"{r.peak_rss_mb:.1f}")
+    return [r.context, len(r.curve), f"{r.train_s:.3f}", f"{p50:.3f}", f"{p95:.3f}",
+            f"{r.peak_rss_mb:.1f}"]
 
 
 def cmd_ablate(cfg: dict) -> int:
@@ -680,21 +673,19 @@ def cmd_ablate(cfg: dict) -> int:
         runs = run_ablation(workers, cfg, corpus,
                             lambda: train_bpe(corpus.captions(), cfg["vocab_size"]),
                             contexts, ks)
-    table = []
-    convergence = ["context,step,loss"]
-    for r in runs:
-        table += retrieval_csv_rows(str(r.context), [r.t2i, r.i2t])
-        convergence += [f"{r.context},{p.step},{p.loss!r}" for p in r.curve]
-    write_csv(out / "ablation.csv", ["context", *RETRIEVAL_CSV_HEADER[1:]], table)
-    (out / "convergence.csv").write_text("\n".join(convergence) + "\n")
+    write_csv(out / "ablation.csv", ["context", *RETRIEVAL_CSV_HEADER[1:]],
+              (row for r in runs for row in retrieval_csv_rows(str(r.context), [r.t2i, r.i2t])))
+    write_csv(out / "convergence.csv", ["context", "step", "loss"],
+              ([r.context, p.step, p.loss] for r in runs for p in r.curve))
     k = min(ks)
     lines = [f"context R@{k}(t2i) R@{k}(i2t) steps_to_lnB/2"]
     lines += [f"{r.context:7d} {r.t2i.recalls[k]:9.4f} {r.i2t.recalls[k]:9.4f} "
               f"{'never' if r.steps_to_target is None else r.steps_to_target:>14}"
               for r in runs]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    (out / "timings.csv").write_text(
-        TIMINGS_CSV_HEADER + "\n" + "".join(_timings_row(r) + "\n" for r in runs))
+    write_csv(out / "timings.csv", ["context", "steps", "train_s", "step_ms_p50",
+                                    "step_ms_p95", "worker_peak_rss_mb"],
+              map(_timings_row, runs))
     print("\n".join(lines))
     print(f"-> {out}")
     return 0

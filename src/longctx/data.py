@@ -7,7 +7,8 @@ throughout; pixels are out of scope.
 
 Every line-delimited JSON file of the package (corpora, articles, caption
 records, the ``longcap`` journal and zero-shot tasks) is read by
-``read_json_lines`` and written through ``json_line``.
+``read_json_lines``, its fields through ``json_field``, and written through
+``json_line``; every CSV output is written by ``write_csv``.
 """
 
 from __future__ import annotations
@@ -111,6 +112,30 @@ def read_json_lines(path, what: str, build) -> list:
     return out
 
 
+_REQUIRED = object()
+# what each kind of record field must be in JSON; ``tuple`` is a list of strings
+_JSON_KINDS = {str: "a JSON string", int: "an integer", bool: "true or false",
+               dict: "a JSON object", tuple: "a JSON list of strings"}
+
+
+def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """The field ``key`` of the record ``obj``, of ``kind``: ``str``, ``int``
+    (a boolean is not one), ``bool``, ``dict`` or ``tuple`` (a list of strings,
+    returned as a tuple).  The one checker of every record field.  An absent
+    field is ``default`` or, without one, a ``KeyError``; a value of another
+    kind is a ``TypeError`` naming ``key``, never converted: an id ``7`` read
+    as ``"7"`` or a string read as its characters would be a wrong value."""
+    if default is not _REQUIRED and key not in obj:
+        return default
+    value = obj[key]
+    if kind is tuple:
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+    elif type(value) is kind:
+        return value
+    raise TypeError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+
+
 def json_line(obj: dict) -> str:
     """The one serializer of a record line: sorted keys, ASCII, newline-ended."""
     return json.dumps(obj, sort_keys=True) + "\n"
@@ -160,10 +185,10 @@ def load_corpus(path) -> PairedCorpus:
     if path.is_dir() or path.suffix == ".tar":
         return _corpus_from(path, _shard_records(path))
     return _corpus_from(path, read_json_lines(path, "record", lambda obj: CorpusRecord(
-        id=str(obj["id"]),
+        id=json_field(obj, "id", str),
         image=_features(obj["image"]),
-        caption=str(obj["caption"]),
-        context=object_field(obj.get("context", {}), "context"),
+        caption=json_field(obj, "caption", str),
+        context=json_field(obj, "context", dict, {}),
     )))
 
 
@@ -190,26 +215,16 @@ def _corpus_from(path: Path, records: list[CorpusRecord]) -> PairedCorpus:
 
 
 def _features(value) -> np.ndarray:
-    """Image features as float64; a NaN or an infinity is a ``ValueError``."""
-    image = np.asarray(value, dtype=np.float64)
+    """Image features as float64; a value that is not numbers is a
+    ``TypeError``, a NaN or an infinity a ``ValueError``."""
+    image = np.asarray(value)
+    # strings and booleans would convert to numbers
+    if image.dtype.kind not in "iuf":
+        raise TypeError(f"image features must be numbers, got {value!r:.40}")
+    image = image.astype(np.float64, copy=False)
     if not np.isfinite(image).all():
         raise ValueError("image features must be finite")
     return image
-
-
-def object_field(value, key: str) -> dict:
-    """The record field ``key``, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{key} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def string_list_field(value, key: str) -> tuple[str, ...]:
-    """The record field ``key``, which must be a JSON list of strings (a bare
-    string would read as its characters)."""
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise TypeError(f"{key} must be a JSON list of strings, got {value!r:.40}")
-    return tuple(value)
 
 
 def _shard_paths(path: Path) -> list[Path]:
@@ -318,14 +333,14 @@ def build_long_caption_benchmark(articles: list[Article], seed: int = 0,
 def load_articles(path) -> list[Article]:
     """Minimal fixture parser for line-delimited article records."""
     return read_json_lines(path, "article", lambda obj: Article(
-        article_id=str(obj["article_id"]),
+        article_id=json_field(obj, "article_id", str),
         figures=tuple(
-            Figure(figure_id=str(f["figure_id"]),
+            Figure(figure_id=json_field(f, "figure_id", str),
                    image=_features(f["image"]),
-                   caption=str(f["caption"]),
-                   inline_refs=string_list_field(f.get("inline_refs", []), "inline_refs"))
+                   caption=json_field(f, "caption", str),
+                   inline_refs=json_field(f, "inline_refs", tuple, ()))
             for f in obj.get("figures", [])),
-        date=str(obj.get("date", ""))))
+        date=json_field(obj, "date", str, "")))
 
 
 def write_benchmark_manifest(build: BenchmarkBuild, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_json_lines, string_list_field
+from .data import json_field, read_json_lines
 from .errors import DataError, UsageError
 
 DEFAULT_KS = (1, 5, 10)
@@ -173,18 +173,11 @@ def permute_options(task: ZeroShotTask, seed: int) -> ZeroShotTask:
 # -- task and result files -------------------------------------------------------------
 
 
-def _correct_index(value) -> int:
-    # bool is an int subclass: true would read as 1
-    if type(value) is not int:
-        raise TypeError(f"correct must be an integer, got {value!r:.40}")
-    return value
-
-
 def read_zero_shot_records(path):
     """Line-delimited task records: (image ref, option list, correct index)."""
     records = read_json_lines(path, "task record", lambda obj: (
-        str(obj["image"]), string_list_field(obj["options"], "options"),
-        _correct_index(obj["correct"])))
+        json_field(obj, "image", str), json_field(obj, "options", tuple),
+        json_field(obj, "correct", int)))
     if not records:
         raise DataError(f"{path}: no task records")
     return records

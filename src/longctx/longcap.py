@@ -21,7 +21,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import json_line, object_field, read_json_lines, string_list_field
+from .data import json_field, json_line, read_json_lines
 from .errors import DataError, UsageError
 
 TEMPLATE_VERSION = "v1"
@@ -99,6 +99,9 @@ class CaptionRecord:
     def __post_init__(self):
         if not self.caption:
             raise UsageError(f"record {self.id!r}: caption must be nonempty")
+        # a number would reach the prompt and the caption as its text
+        if not all(isinstance(v, str) for v in self.acronym_map.values()):
+            raise UsageError(f"record {self.id!r}: acronym_map values must be strings")
 
 
 @dataclass(frozen=True)
@@ -136,15 +139,15 @@ class ParseFailure(Exception):
 class MockBackend:
     """Deterministic in-process stand-in for the generation model.
 
-    Responses are a pure function of (prompt, image_ref, seed): augmentation
-    echoes the caption plus its context, assessment labels features by a
-    fixed non-visual marker list, refinement joins the feasible features.
-    ``requests`` holds every prompt asked for, in arrival order across worker
-    threads, for resume and determinism checks.
+    Responses are a pure function of the prompt: augmentation echoes the
+    caption plus its context, assessment labels features by a fixed
+    non-visual marker list, refinement joins the feasible features; a prompt
+    for any other task is a ``BackendError``.  ``seed`` is accepted and has
+    no effect.  ``requests`` holds every prompt asked for, in arrival order
+    across worker threads, for resume and determinism checks.
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self.requests: list[str] = []
         self._lock = threading.Lock()
 
@@ -158,7 +161,7 @@ class MockBackend:
             return self._assess(prompt)
         if task == "refine":
             return self._refine(prompt)
-        return f"echo[{self.seed}]: {prompt.splitlines()[-1] if prompt else ''}"
+        raise BackendError(f"mock backend: unknown task {task!r}")
 
     def _augment(self, prompt):
         caption = _section(prompt, "CAPTION")
@@ -265,10 +268,10 @@ class HttpBackend:
                            attempts=attempt)
 
 
-def make_backend(descriptor: str, seed: int = 0):
+def make_backend(descriptor: str):
     """``mock`` or an HTTP(S) endpoint URL."""
     if descriptor == "mock":
-        return MockBackend(seed=seed)
+        return MockBackend()
     if descriptor.startswith(("http://", "https://")):
         return HttpBackend(descriptor)
     raise UsageError(f"unknown backend descriptor {descriptor!r}")
@@ -362,9 +365,6 @@ def _refine_fault(reply: str, report: FeasibilityReport) -> str:
     return f"refined caption still contains blocked features: {blocked[:2]}" if blocked else ""
 
 
-_ACRO_CACHE: dict = {}
-
-
 def expand_acronyms(caption: str, acronym_map: dict) -> str:
     """Step 4 (rule-based): first word-boundary occurrence of each acronym
     becomes ``expansion (ACRONYM)``; later occurrences stay as they are."""
@@ -372,13 +372,9 @@ def expand_acronyms(caption: str, acronym_map: dict) -> str:
         expansion = acronym_map[acro]
         if not expansion:
             raise UsageError(f"empty expansion for acronym {acro!r}")
-        pattern = _ACRO_CACHE.get(acro)
-        if pattern is None:
-            pattern = re.compile(rf"\b{re.escape(acro)}\b")
-            _ACRO_CACHE[acro] = pattern
         # a function, not a template: expansions may hold backslashes
         replacement = f"{expansion} ({acro})"
-        caption = pattern.sub(lambda _: replacement, caption, count=1)
+        caption = re.sub(rf"\b{re.escape(acro)}\b", lambda _: replacement, caption, count=1)
     return caption
 
 
@@ -495,12 +491,12 @@ def read_caption_records(path) -> list[CaptionRecord]:
 
     def build(obj):
         record = CaptionRecord(
-            id=str(obj["id"]),
-            image_ref=str(obj.get("image_ref", "")),
-            caption=str(obj["caption"]),
-            inline_mentions=string_list_field(obj.get("inline_mentions", []), "inline_mentions"),
-            abstract=str(obj.get("abstract", "")),
-            acronym_map=object_field(obj.get("acronym_map", {}), "acronym_map"),
+            id=json_field(obj, "id", str),
+            image_ref=json_field(obj, "image_ref", str, ""),
+            caption=json_field(obj, "caption", str),
+            inline_mentions=json_field(obj, "inline_mentions", tuple, ()),
+            abstract=json_field(obj, "abstract", str, ""),
+            acronym_map=json_field(obj, "acronym_map", dict, {}),
         )
         if record.id in seen:
             raise UsageError(f"duplicate record id {record.id!r}")
@@ -540,7 +536,20 @@ def read_journal(path) -> list[RecordResult]:
             complete = _through_last_newline(fh, size)
         if complete < size:
             os.truncate(path, complete)
-    return read_json_lines(path, "journal entry", lambda obj: RecordResult(**obj))
+    return read_json_lines(path, "journal entry", _journal_entry)
+
+
+# the JSON kind of each field of a journal line
+_RESULT_KINDS = {"id": str, "status": str, "caption": str, "stage": str,
+                 "low_content": bool, "template_version": str}
+
+
+def _journal_entry(obj: dict) -> RecordResult:
+    """A journal line's result; ``RecordResult`` refuses a missing id or
+    status and a field it does not have."""
+    for key, kind in _RESULT_KINDS.items():
+        json_field(obj, key, kind, None)
+    return RecordResult(**obj)
 
 
 def _through_last_newline(fh, end: int) -> int:

@@ -245,30 +245,21 @@ def corpus_token_stats(vocab: Vocab, corpus: list[str], cutoff: int) -> TokenWas
     )
 
 
+# the fields of ``report.txt`` and ``summary.csv``, in order, with their formats
+WASTE_FORMATS = {"cutoff": "", "total_tokens": "", "wasted_tokens": "",
+                 "waste_fraction": ".6f", "mean_length": ".4f", "median_length": ".1f",
+                 "min_length": "", "max_length": ""}
+
+
+def waste_report_fields(report: TokenWasteReport) -> dict[str, str]:
+    """The report's figures as text, keyed by field name in ``WASTE_FORMATS`` order."""
+    return {key: format(getattr(report, key), spec) for key, spec in WASTE_FORMATS.items()}
+
+
 def format_waste_report(report: TokenWasteReport) -> str:
     """Flat key-value text rendering of a TokenWasteReport."""
-    lines = [
-        f"cutoff={report.cutoff}",
-        f"total_tokens={report.total_tokens}",
-        f"wasted_tokens={report.wasted_tokens}",
-        f"waste_fraction={report.waste_fraction:.6f}",
-        f"mean_length={report.mean_length:.4f}",
-        f"median_length={report.median_length:.1f}",
-        f"min_length={report.min_length}",
-        f"max_length={report.max_length}",
-        f"note={report.note}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-WASTE_CSV_HEADER = ("cutoff,total_tokens,wasted_tokens,waste_fraction,"
-                    "mean_length,median_length,min_length,max_length")
-
-
-def waste_report_csv_row(report: TokenWasteReport) -> str:
-    return (f"{report.cutoff},{report.total_tokens},{report.wasted_tokens},"
-            f"{report.waste_fraction:.6f},{report.mean_length:.4f},"
-            f"{report.median_length:.1f},{report.min_length},{report.max_length}")
+    lines = [f"{key}={value}" for key, value in waste_report_fields(report).items()]
+    return "\n".join([*lines, f"note={report.note}"]) + "\n"
 
 
 # -- vocabulary files -----------------------------------------------------------

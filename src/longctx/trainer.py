@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import PairedCorpus
+from .data import PairedCorpus, write_csv
 from .encoders import (
     BIAS_SUFFIXES,
     ImageEncoderConfig,
@@ -293,13 +292,9 @@ def _adamw_update(state: TrainState, lr: float, cfg: TrainConfig) -> None:
 # -- loss-curve files ---------------------------------------------------------------
 
 
-CURVE_CSV_HEADER = "step,loss,lr,seconds"
-
-
 def write_loss_curve(curve: list[LossPoint], path) -> None:
-    lines = [CURVE_CSV_HEADER]
-    lines += [f"{p.step},{p.loss!r},{p.lr!r},{p.seconds:.3f}" for p in curve]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["step", "loss", "lr", "seconds"],
+              ([p.step, p.loss, p.lr, f"{p.seconds:.3f}"] for p in curve))
 
 
 def steps_to_loss(curve: list[LossPoint], threshold: float) -> int | None:

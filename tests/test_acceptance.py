@@ -286,9 +286,9 @@ def test_criterion_6_chance_level_calibration():
 def test_criterion_7_pipeline_determinism_and_filtering(tmp_path):
     """criterion 7: longcap pipeline determinism, filtering, resume, length gain"""
     records = fixture_caption_records()
-    out_a = run_pipeline(records, MockBackend(seed=7), max_workers=4)
+    out_a = run_pipeline(records, MockBackend(), max_workers=4)
     by_id = {r.id: r for r in out_a.results}
-    out_b = run_pipeline(records, MockBackend(seed=7), max_workers=4)
+    out_b = run_pipeline(records, MockBackend(), max_workers=4)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_output_corpus(out_a, pa)
     write_output_corpus(out_b, pb)
@@ -298,7 +298,7 @@ def test_criterion_7_pipeline_determinism_and_filtering(tmp_path):
     # no refined caption contains a NOT_FEASIBLE feature verbatim
     from longctx.longcap import assess_feasibility, augment_caption
     for rec in records:
-        probe = MockBackend(seed=7)
+        probe = MockBackend()
         report = assess_feasibility(rec.image_ref, augment_caption(rec, probe), probe)
         final = by_id[rec.id].caption
         for blocked in report.not_feasible():
@@ -306,10 +306,10 @@ def test_criterion_7_pipeline_determinism_and_filtering(tmp_path):
 
     # resume re-sends nothing for completed records
     journal = tmp_path / "journal.jsonl"
-    first = MockBackend(seed=7)
+    first = MockBackend()
     run_pipeline(records[:6], first, journal_path=journal, max_workers=2)
     requests_for_six = len(first.requests)
-    second = MockBackend(seed=7)
+    second = MockBackend()
     full = run_pipeline(records, second, journal_path=journal, max_workers=2)
     assert len(full.results) == len(records)
     assert len(second.requests) == requests_for_six / 6 * 4

@@ -203,12 +203,34 @@ def test_longcap_command(tmp_path):
     write_caption_records(fixture_caption_records(), records_path)
     out = tmp_path / "lc"
     code = run(["longcap", "--records", str(records_path), "--backend", "mock",
-                "--seed", "7", "--workers", "2", "--out", str(out)])
+                "--workers", "2", "--out", str(out)])
     assert code == 0
     lines = (out / "longcap.jsonl").read_text().splitlines()
     assert len(lines) == 10
     assert all(json.loads(ln)["status"] == "done" for ln in lines)
     assert (out / "journal.jsonl").exists()
+
+
+def test_longcap_resume_refuses_a_journal_id_that_is_not_a_string(tmp_path, capsys):
+    # a numeric id used to load, then end the run in a traceback from sorting ids
+    records_path = tmp_path / "records.jsonl"
+    write_caption_records(fixture_caption_records()[:2], records_path)
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(json.dumps({"id": 5, "status": "done", "caption": "x"}) + "\n")
+    capsys.readouterr()
+    assert run(["longcap", "--records", str(records_path), "--backend", "mock",
+                "--resume", str(journal), "--out", str(tmp_path / "lc")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("longctx longcap: error: ") and err.count("\n") == 1, err
+    assert f"{journal} line 1" in err and "id must be a JSON string" in err
+
+
+@pytest.mark.parametrize("command", cli.SCHEMAS)
+def test_help_shows_no_empty_default(command, capsys):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    # argparse may wrap "(default: )" across lines
+    assert "(default: )" not in " ".join(capsys.readouterr().out.split())
 
 
 def test_build_benchmark_command(tmp_path):
@@ -784,6 +806,31 @@ def test_bad_argument_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
     assert err.startswith(f"longctx {command}: error: ") and err.count("\n") == 1, err
     assert named.format(**paths) in err
     assert not (tmp_path / "out").exists(), "refused before any output"
+
+
+def test_every_table_a_command_writes_has_rows_as_wide_as_its_header(tmp_path, valid_inputs):
+    model = ["--checkpoint", str(valid_inputs["checkpoint"]),
+             "--vocab", str(valid_inputs["vocab"]), "--corpus", str(valid_inputs["corpus"])]
+    commands = {
+        "tokenize-stats": ["--corpus", str(valid_inputs["corpus"]), "--vocab-size", "300"],
+        "make-synthetic": ["--classes", "2", "--per-class", "3", "--image-dim", "8",
+                           "--prefix-tokens", "4", "--class-token-position", "5"],
+        "train": ["--corpus", str(valid_inputs["corpus"]), *TINY_TRAIN],
+        "eval-retrieval": model,
+        "eval-zeroshot": [*model, "--task", str(valid_inputs["task"])],
+        "build-benchmark": ["--articles", str(valid_inputs["articles"])],
+        "ablate": ["--corpus", str(valid_inputs["corpus"]), "--contexts", "8,16",
+                   *TINY_ABLATE],
+    }
+    for command, args in commands.items():
+        out = tmp_path / command
+        assert run([command, *args, "--out", str(out)]) == 0, command
+        tables = sorted(out.glob("*.csv"))
+        assert tables, command
+        for table in tables:
+            with table.open(newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), table
 
 
 def test_fields_from_the_input_are_quoted_in_csv_outputs(tmp_path, valid_inputs):

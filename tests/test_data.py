@@ -207,28 +207,63 @@ def test_record_context_must_be_an_object(tmp_path, context):
         load_corpus(path)
 
 
-# a field whose value a reader would otherwise convert: a string read as its
-# characters, a boolean read as 0 or 1, a list of pairs read as a mapping
+TASK = {"image": "a", "options": ["x", "y"], "correct": 0}
+ARTICLE = {"article_id": "a", "date": "2025-01-01", "figures": [
+    {"figure_id": "f", "image": [0.0], "caption": "cap"}]}
+CORPUS_LINE = {"id": "a", "image": [0.0, 1.0], "caption": "c"}
+JOURNAL_LINE = {"id": "a", "status": "done", "caption": "x", "stage": "",
+                "low_content": False, "template_version": "v1"}
+# a field whose value a reader would otherwise convert: a number read as its
+# text, a string read as its characters, a boolean read as 0 or 1, a list of
+# pairs read as a mapping.  Test id -> (reader, a valid record, the field's
+# path in it, a value of the wrong type); the error says what the path's
+# last key must be
 WRONG_TYPES = {
-    "options": (read_zero_shot_records, {"image": "a", "options": ["x", "y"], "correct": 0},
-                "cat"),
-    "correct": (read_zero_shot_records, {"image": "a", "options": ["x", "y"], "correct": 0},
-                True),
-    "inline_refs": (load_articles, {"article_id": "a", "figures": [
-        {"figure_id": "f", "image": [0.0], "caption": "cap"}]}, "see here"),
-    "inline_mentions": (read_caption_records, {"id": "a", "caption": "cap"}, "abc"),
-    "acronym_map": (read_caption_records, {"id": "a", "caption": "cap"}, [["HE", "stain"]]),
+    "options": (read_zero_shot_records, TASK, ["options"], "cat"),
+    "correct": (read_zero_shot_records, TASK, ["correct"], True),
+    "inline_refs": (load_articles, ARTICLE, ["figures", 0, "inline_refs"], "see here"),
+    "inline_mentions": (read_caption_records, {"id": "a", "caption": "cap"},
+                        ["inline_mentions"], "abc"),
+    "acronym_map": (read_caption_records, {"id": "a", "caption": "cap"}, ["acronym_map"],
+                    [["HE", "stain"]]),
+    "corpus-id": (load_corpus, CORPUS_LINE, ["id"], 7),
+    "corpus-caption": (load_corpus, CORPUS_LINE, ["caption"], ["a", "b"]),
+    "image-strings": (load_corpus, CORPUS_LINE, ["image"], ["1.5", "2"]),
+    "image-booleans": (load_corpus, CORPUS_LINE, ["image"], [True, False]),
+    "article_id": (load_articles, ARTICLE, ["article_id"], 5),
+    "figure_id": (load_articles, ARTICLE, ["figures", 0, "figure_id"], 3),
+    "article-caption": (load_articles, ARTICLE, ["figures", 0, "caption"], ["cap"]),
+    "date": (load_articles, ARTICLE, ["date"], 20250101),
+    "task-image": (read_zero_shot_records, TASK, ["image"], 3),
+    "record-id": (read_caption_records, {"id": "a", "caption": "cap"}, ["id"], 5),
+    "image_ref": (read_caption_records, {"id": "a", "caption": "cap"}, ["image_ref"], 1),
+    "record-caption": (read_caption_records, {"id": "a", "caption": "cap"}, ["caption"],
+                       ["cap"]),
+    "abstract": (read_caption_records, {"id": "a", "caption": "cap"}, ["abstract"],
+                 ["see", "here"]),
+    "acronym_map-value": (read_caption_records, {"id": "a", "caption": "cap"},
+                          ["acronym_map"], {"HE": 5}),
+    "journal-id": (read_journal, JOURNAL_LINE, ["id"], 5),
+    "status": (read_journal, JOURNAL_LINE, ["status"], 1),
+    "journal-caption": (read_journal, JOURNAL_LINE, ["caption"], None),
+    "stage": (read_journal, JOURNAL_LINE, ["stage"], 0),
+    "low_content": (read_journal, JOURNAL_LINE, ["low_content"], "yes"),
+    "template_version": (read_journal, JOURNAL_LINE, ["template_version"], 1),
 }
 
 
 @pytest.mark.parametrize("field", WRONG_TYPES)
 def test_a_field_of_the_wrong_type_names_file_and_line(tmp_path, field):
-    read, valid, wrong = WRONG_TYPES[field]
+    read, valid, where, wrong = WRONG_TYPES[field]
     bad = json.loads(json.dumps(valid))
-    (bad["figures"][0] if field == "inline_refs" else bad)[field] = wrong
+    target = bad
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = wrong
     path = tmp_path / "input.jsonl"
     path.write_bytes(_line(valid) + _line(bad))
-    with pytest.raises(DataError, match=re.escape(f"{path} line 2: malformed") + f".*{field}"):
+    with pytest.raises(DataError, match=re.escape(f"{path} line 2: malformed")
+                       + rf".*\b{where[-1]}\b.* must be"):
         read(path)
 
 

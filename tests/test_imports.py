@@ -36,6 +36,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name)
+                                  for p in sorted(PACKAGE.glob("*.py")) if p.name != "data.py"])
+def test_only_data_writes_csv(path):
+    # every table goes through data.write_csv, so the CSV format is decided once
+    assert "csv" not in imported_modules(path.read_text())
+
+
 def test_unused_import_detector():
     source = ("from __future__ import annotations\nimport os\nimport xml.etree as ET\n"
               "from a import b, c as d\nET.parse(b)\n")

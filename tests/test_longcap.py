@@ -65,14 +65,14 @@ def simple_record(**kw):
 
 def test_augment_with_no_context_contains_caption_verbatim():
     record = simple_record(inline_mentions=(), abstract="")
-    out = augment_caption(record, MockBackend(seed=7))
+    out = augment_caption(record, MockBackend())
     assert record.caption in out
 
 
 def test_augment_deterministic():
     record = fixture_caption_records()[0]
-    a = augment_caption(record, MockBackend(seed=7))
-    b = augment_caption(record, MockBackend(seed=7))
+    a = augment_caption(record, MockBackend())
+    b = augment_caption(record, MockBackend())
     assert a == b
 
 
@@ -81,7 +81,7 @@ def test_augment_echoes_context_terms():
         caption="tissue section of the cortex",
         inline_mentions=("the section was stained with hematoxylin",),
     )
-    out = augment_caption(record, MockBackend(seed=0))
+    out = augment_caption(record, MockBackend())
     assert "hematoxylin" in out
 
 
@@ -248,7 +248,7 @@ def test_second_blank_refine_reply_fails_the_record_at_refine(blank):
                 return blank
             return super().generate(prompt, image_ref)
 
-    backend = BlankRefine(seed=0)
+    backend = BlankRefine()
     out = run_pipeline(fixture_caption_records()[:1], backend, max_workers=1)
     (result,) = out.results
     assert (result.status, result.caption) == ("failed", "")
@@ -304,8 +304,8 @@ def test_expansion_present_for_every_occurring_acronym():
 
 def test_pipeline_runs_fixture_deterministically(tmp_path):
     records = fixture_caption_records()
-    out1 = run_pipeline(records, MockBackend(seed=7), max_workers=4)
-    out2 = run_pipeline(records, MockBackend(seed=7), max_workers=4)
+    out1 = run_pipeline(records, MockBackend(), max_workers=4)
+    out2 = run_pipeline(records, MockBackend(), max_workers=4)
     assert [r.id for r in out1.results] == [f"fix-{i:02d}" for i in range(10)]
     assert out1 == out2
     assert all(r.status == "done" for r in out1.results)
@@ -317,12 +317,12 @@ def test_pipeline_runs_fixture_deterministically(tmp_path):
 
 def test_pipeline_no_refined_caption_contains_blocked_feature():
     records = fixture_caption_records()
-    backend = MockBackend(seed=1)
+    backend = MockBackend()
     out = run_pipeline(records, backend, max_workers=1)
     by_id = {r.id: r for r in out.results}
     for rec in records:
         from longctx.longcap import assess_feasibility, augment_caption
-        probe = MockBackend(seed=1)
+        probe = MockBackend()
         report = assess_feasibility(rec.image_ref,
                                     augment_caption(rec, probe), probe)
         final = by_id[rec.id].caption
@@ -333,12 +333,12 @@ def test_pipeline_no_refined_caption_contains_blocked_feature():
 def test_pipeline_resume_sends_no_duplicate_requests(tmp_path):
     records = fixture_caption_records()
     journal = tmp_path / "journal.jsonl"
-    first = MockBackend(seed=7)
+    first = MockBackend()
     partial = run_pipeline(records[:5], first, journal_path=journal, max_workers=2)
     assert all(r.status == "done" for r in partial.results)
     requests_before = len(first.requests)
     assert requests_before > 0
-    second = MockBackend(seed=7)
+    second = MockBackend()
     full = run_pipeline(records, second, journal_path=journal, max_workers=2)
     assert len(full.results) == 10
     done_ids = {r.id for r in full.results if r.status == "done"}
@@ -360,7 +360,7 @@ def test_pipeline_continues_past_single_record_failure():
                 raise BackendError("boom", attempts=3)
             return super().generate(prompt, image_ref)
 
-    out = run_pipeline(records, FlakyBackend(seed=0), max_workers=1)
+    out = run_pipeline(records, FlakyBackend(), max_workers=1)
     statuses = {r.id: r.status for r in out.results}
     assert statuses["fix-01"] == "failed"
     assert statuses["fix-00"] == "done" and statuses["fix-02"] == "done"
@@ -372,7 +372,7 @@ def test_pipeline_continues_past_single_record_failure():
 def test_pipeline_output_longer_than_input_on_fixture():
     from longctx.tokenizer import content_ids, train_bpe
     records = fixture_caption_records()
-    out = run_pipeline(records, MockBackend(seed=7), max_workers=2)
+    out = run_pipeline(records, MockBackend(), max_workers=2)
     vocab = train_bpe([r.caption for r in records], vocab_size=300)
     inp = [len(content_ids(vocab, r.caption)) for r in records]
     by_id = {r.id: r for r in out.results}
@@ -460,11 +460,11 @@ def test_shared_journal_handle_keeps_lines_whole_under_many_workers(tmp_path):
 def test_resume_from_torn_final_journal_line(tmp_path):
     records = fixture_caption_records()
     journal = tmp_path / "journal.jsonl"
-    first = MockBackend(seed=7)
+    first = MockBackend()
     run_pipeline(records[:4], first, journal_path=journal, max_workers=1)
     lines = journal.read_text().splitlines(keepends=True)
     journal.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
-    second = MockBackend(seed=7)
+    second = MockBackend()
     full = run_pipeline(records, second, journal_path=journal, max_workers=1)
     assert all(r.status == "done" for r in full.results) and len(full.results) == 10
     # the three complete lines are not sent again; the torn record is
@@ -502,11 +502,17 @@ def test_torn_interior_journal_line_is_data_error(tmp_path):
 
 
 def test_make_backend_descriptors():
-    assert isinstance(make_backend("mock", seed=3), MockBackend)
+    assert isinstance(make_backend("mock"), MockBackend)
     http = make_backend("http://localhost:9/model")
     assert http.endpoint.endswith("/model")
     with pytest.raises(UsageError):
         make_backend("carrier-pigeon")
+
+
+def test_mock_backend_refuses_an_unknown_task():
+    # it used to echo the prompt's last line as a reply
+    with pytest.raises(BackendError, match="unknown task 'summarize'"):
+        MockBackend().generate("TASK: summarize\nCAPTION:\na cell")
 
 
 def test_split_atomic_features():
@@ -578,7 +584,8 @@ def test_http_backoff_and_attempts_reported(scripted_http):
 
 def test_request_log_keeps_every_prompt_across_threads():
     log = MockBackend()
-    threads = [threading.Thread(target=lambda i=i: [log.generate(f"{i}:{n}")
+    prompt = "TASK: refine\n{}:{}"  # a prompt for no known task is refused
+    threads = [threading.Thread(target=lambda i=i: [log.generate(prompt.format(i, n))
                                                     for n in range(2000)])
                for i in range(8)]
     interval = sys.getswitchinterval()
@@ -591,4 +598,5 @@ def test_request_log_keeps_every_prompt_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert sorted(log.requests) == sorted(f"{i}:{n}" for i in range(8) for n in range(2000))
+    assert sorted(log.requests) == sorted(prompt.format(i, n)
+                                         for i in range(8) for n in range(2000))
