@@ -3,9 +3,12 @@
 Four steps per record: (1) augment the caption with article context, (2) ask
 the backend to label each atomic caption feature FEASIBLE / NOT_FEASIBLE as
 an XML document, (3) rewrite keeping only feasible features, (4) expand
-acronyms by rule.  Records fail individually (the run always continues) and
-an append-only journal makes reruns idempotent: records already done are
-never re-sent to the backend.
+acronyms by rule.  The three backend steps ask through one helper, ``_ask``:
+a reply the step cannot use earns one repair reprompt, and a second one
+fails the record at that step.  Records fail individually (the run always
+continues) and an append-only journal makes reruns idempotent: records
+already done are never re-sent to the backend, and a resume returns only
+the records it was given.
 
 Prompt templates are versioned artifacts; every output records the version
 it was produced with.
@@ -22,9 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import json_field, json_line, read_json_lines
-from .errors import DataError, UsageError
+from .errors import UsageError
 
-TEMPLATE_VERSION = "v1"
+TEMPLATE_VERSION = "v2"
 
 AUGMENT_TEMPLATE = """TASK: augment
 Rewrite the figure caption below into a longer, self-contained image
@@ -73,8 +76,8 @@ NOT_FEASIBLE:
 
 REPAIR_SUFFIX = """
 
-The previous reply could not be parsed.  Reply again with exactly one
-well-formed XML document in the schema shown above and nothing else.
+The previous reply could not be used.  Reply again, following the
+instructions above exactly, with the reply alone and nothing else.
 """
 
 NOT_VISUAL_MARKERS = (
@@ -99,9 +102,10 @@ class CaptionRecord:
     def __post_init__(self):
         if not self.caption:
             raise UsageError(f"record {self.id!r}: caption must be nonempty")
-        # a number would reach the prompt and the caption as its text
-        if not all(isinstance(v, str) for v in self.acronym_map.values()):
-            raise UsageError(f"record {self.id!r}: acronym_map values must be strings")
+        # a number would reach the prompt and the caption as its text, and an
+        # empty expansion would fail the record after three backend steps
+        if not all(isinstance(v, str) and v for v in self.acronym_map.values()):
+            raise UsageError(f"record {self.id!r}: acronym_map values must be nonempty strings")
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class BackendError(Exception):
 
 
 class ParseFailure(Exception):
-    """Backend reply was unusable even after the repair reprompt."""
+    """A backend reply the step cannot use."""
 
 
 # -- backends --------------------------------------------------------------------
@@ -280,6 +284,24 @@ def make_backend(descriptor: str):
 # -- the four steps ----------------------------------------------------------------
 
 
+def _ask(backend, prompt: str, image_ref: str | None, read):
+    """``read(reply)`` for the backend's reply to ``prompt``; the pipeline's
+    one caller of ``backend.generate``.  A reply that ``read`` refuses with
+    ``ParseFailure`` earns exactly one repair reprompt; a second refusal
+    propagates."""
+    try:
+        return read(backend.generate(prompt, image_ref))
+    except ParseFailure:
+        return read(backend.generate(prompt + REPAIR_SUFFIX, image_ref))
+
+
+def _nonblank(reply: str, what: str) -> str:
+    text = reply.strip()
+    if not text:
+        raise ParseFailure(f"{what} is blank")
+    return text
+
+
 def augment_caption(record: CaptionRecord, backend) -> str:
     """Step 1: contextualize the caption with mentions/abstract/acronyms."""
     acronyms = "\n".join(f"{k} = {v}" for k, v in sorted(record.acronym_map.items()))
@@ -289,27 +311,14 @@ def augment_caption(record: CaptionRecord, backend) -> str:
         abstract=record.abstract,
         acronyms=acronyms,
     )
-    return backend.generate(prompt, record.image_ref).strip()
+    return _ask(backend, prompt, record.image_ref,
+                lambda reply: _nonblank(reply, "augmented caption"))
 
 
 def assess_feasibility(image_ref: str, caption: str, backend) -> FeasibilityReport:
-    """Step 2: atomic features labeled FEASIBLE/NOT_FEASIBLE via XML reply.
-
-    A malformed reply earns exactly one repair reprompt; a second failure
-    raises ``ParseFailure``.
-    """
-    if not caption:
-        raise UsageError("cannot assess an empty caption")
-    prompt = ASSESS_TEMPLATE.format(caption=caption)
-    reply = backend.generate(prompt, image_ref)
-    try:
-        return _parse_feature_xml(reply)
-    except DataError:
-        reply = backend.generate(prompt + REPAIR_SUFFIX, image_ref)
-        try:
-            return _parse_feature_xml(reply)
-        except DataError as exc:
-            raise ParseFailure(f"unparseable feasibility reply after repair: {exc}") from exc
+    """Step 2: atomic features labeled FEASIBLE/NOT_FEASIBLE via XML reply."""
+    return _ask(backend, ASSESS_TEMPLATE.format(caption=caption), image_ref,
+                _parse_feature_xml)
 
 
 def _parse_feature_xml(reply: str) -> FeasibilityReport:
@@ -320,49 +329,38 @@ def _parse_feature_xml(reply: str) -> FeasibilityReport:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
-        raise DataError(f"invalid XML: {exc}") from exc
+        raise ParseFailure(f"invalid XML: {exc}") from exc
     if root.tag != "features":
-        raise DataError(f"expected <features> root, got <{root.tag}>")
+        raise ParseFailure(f"expected <features> root, got <{root.tag}>")
     judged = []
     for el in root.iter("feature"):
         label = (el.get("label") or "").strip()
         if label not in ("FEASIBLE", "NOT_FEASIBLE"):
-            raise DataError(f"bad feature label {label!r}")
+            raise ParseFailure(f"bad feature label {label!r}")
         judged.append(FeatureJudgment(text=(el.text or "").strip(), label=label))
     if not judged:
-        raise DataError("no <feature> elements found")
+        raise ParseFailure("no <feature> elements found")
     return FeasibilityReport(features=tuple(judged))
 
 
 def refine_caption(caption: str, report: FeasibilityReport, backend,
                    image_ref: str | None = None) -> str:
-    """Step 3: rewrite keeping FEASIBLE features only, with one retry.
-
-    The reply is validated: it must not be blank, and no NOT_FEASIBLE
-    feature text may appear verbatim.
-    """
-    if not report.features:
-        raise UsageError("feasibility report is empty")
+    """Step 3: rewrite keeping FEASIBLE features only.  The reply must not
+    be blank, and no NOT_FEASIBLE feature text may appear in it verbatim."""
     prompt = REFINE_TEMPLATE.format(
         caption=caption,
         feasible="\n".join(f"- {t}" for t in report.feasible()),
         not_feasible="\n".join(f"- {t}" for t in report.not_feasible()),
     )
-    reply = backend.generate(prompt, image_ref).strip()
-    if _refine_fault(reply, report):
-        reply = backend.generate(prompt + REPAIR_SUFFIX, image_ref).strip()
-        fault = _refine_fault(reply, report)
-        if fault:
-            raise ParseFailure(fault)
-    return reply
 
+    def read(reply):
+        text = _nonblank(reply, "refined caption")
+        blocked = [t for t in report.not_feasible() if t and t in text]
+        if blocked:
+            raise ParseFailure(f"refined caption still contains blocked features: {blocked[:2]}")
+        return text
 
-def _refine_fault(reply: str, report: FeasibilityReport) -> str:
-    """Why a stripped refine reply is unusable, or "" when it is usable."""
-    if not reply:
-        return "refined caption is blank"
-    blocked = [t for t in report.not_feasible() if t and t in reply]
-    return f"refined caption still contains blocked features: {blocked[:2]}" if blocked else ""
+    return _ask(backend, prompt, image_ref, read)
 
 
 def expand_acronyms(caption: str, acronym_map: dict) -> str:
@@ -411,11 +409,10 @@ def process_record(record: CaptionRecord, backend) -> RecordResult:
         report = assess_feasibility(record.image_ref, augmented, backend)
         stage = "refine"
         refined = refine_caption(augmented, report, backend, record.image_ref)
-        stage = "expand"
-        final = expand_acronyms(refined, record.acronym_map)
-    except (BackendError, ParseFailure, UsageError) as exc:
+    except (BackendError, ParseFailure) as exc:
         return RecordResult(id=record.id, status="failed", stage=f"{stage}: {exc}")
-    return RecordResult(id=record.id, status="done", caption=final,
+    return RecordResult(id=record.id, status="done",
+                        caption=expand_acronyms(refined, record.acronym_map),
                         low_content=not report.feasible())
 
 
@@ -429,10 +426,11 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
     """Process a corpus with at most ``max_workers`` in-flight records.
 
     The journal (line-delimited results) is both the progress log and the
-    resume state: records present as ``done`` are returned as-is without any
-    backend traffic.  It is opened once per run; each result line is
-    flushed as it is appended, so a reader sees every complete line, and
-    the file is fsynced once when the run ends.  Output ordering is by
+    resume state: records of ``corpus`` present as ``done`` are returned
+    as-is without any backend traffic, and lines for other ids stay in the
+    file unreturned.  It is opened once per run; each result line is flushed
+    as it is appended, so a reader sees every complete line, and the file is
+    fsynced once when the run ends.  Output ordering is by
     record id regardless of completion order.
     """
     if not corpus:
@@ -447,7 +445,7 @@ def run_pipeline(corpus: list[CaptionRecord], backend,
     done: dict[str, RecordResult] = {}
     if journal_path and Path(journal_path).exists():
         for result in read_journal(journal_path):
-            if result.status == "done":
+            if result.status == "done" and result.id in seen:
                 done[result.id] = result
 
     pending = [r for r in corpus if r.id not in done]

@@ -225,6 +225,22 @@ def test_longcap_resume_refuses_a_journal_id_that_is_not_a_string(tmp_path, caps
     assert f"{journal} line 1" in err and "id must be a JSON string" in err
 
 
+def test_longcap_resume_returns_only_the_records_given(tmp_path):
+    # the journal's results for ids not in the records file were returned too
+    records = fixture_caption_records()[:5]
+    journal = tmp_path / "journal.jsonl"
+    for n in (5, 2):
+        records_path = tmp_path / f"records{n}.jsonl"
+        write_caption_records(records[:n], records_path)
+        assert run(["longcap", "--records", str(records_path), "--backend", "mock",
+                    "--resume", str(journal), "--out", str(tmp_path / f"lc{n}")]) == 0
+    out = tmp_path / "lc2"
+    rows = [json.loads(ln) for ln in (out / "longcap.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == [r.id for r in records[:2]]
+    assert (out / "summary.txt").read_text().startswith("records=2\n")
+    assert len(journal.read_text().splitlines()) == 5
+
+
 @pytest.mark.parametrize("command", cli.SCHEMAS)
 def test_help_shows_no_empty_default(command, capsys):
     with pytest.raises(SystemExit):

@@ -243,6 +243,9 @@ WRONG_TYPES = {
                  ["see", "here"]),
     "acronym_map-value": (read_caption_records, {"id": "a", "caption": "cap"},
                           ["acronym_map"], {"HE": 5}),
+    # not a wrong type: it would fail the record after three backend calls
+    "acronym_map-empty": (read_caption_records, {"id": "a", "caption": "cap"},
+                          ["acronym_map"], {"HE": ""}),
     "journal-id": (read_journal, JOURNAL_LINE, ["id"], 5),
     "status": (read_journal, JOURNAL_LINE, ["status"], 1),
     "journal-caption": (read_journal, JOURNAL_LINE, ["caption"], None),

@@ -53,6 +53,15 @@ def test_only_data_writes_csv(path):
     assert "csv" not in imported_modules(path.read_text())
 
 
+def test_only_ask_calls_generate_in_longcap():
+    # the reply, check and one repair reprompt of every step is written once
+    tree = ast.parse((PACKAGE / "longcap.py").read_text())
+    callers = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "generate"}
+    assert {c for c in callers if not c.endswith("Backend")} == {"_ask"}
+
+
 def test_unused_import_detector():
     source = ("from __future__ import annotations\nimport os\nimport xml.etree as ET\n"
               "from a import b, c as d\nET.parse(b)\n")

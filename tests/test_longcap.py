@@ -85,6 +85,26 @@ def test_augment_echoes_context_terms():
     assert "hematoxylin" in out
 
 
+@pytest.mark.parametrize("blank", ["", " \n\t"])
+def test_blank_augment_reply_fails_the_record_at_augment(blank):
+    # it used to go on to fail the record at assess, with no reprompt
+    backend = ScriptedBackend([blank, blank])
+    result = process_record(simple_record(), backend)
+    assert (result.status, result.stage) == ("failed", "augment: augmented caption is blank")
+    assert [p.split("\n", 1)[0] for p in backend.requests] == ["TASK: augment"] * 2
+    assert backend.requests[1] == backend.requests[0] + REPAIR_SUFFIX
+
+
+def test_blank_augment_reply_gets_the_repair_reprompt():
+    backend = ScriptedBackend([" ", " a cell\n"])
+    assert augment_caption(simple_record(), backend) == "a cell"
+
+
+def test_repair_suffix_fits_every_step():
+    # the refine prompt has no XML schema to point back to
+    assert "xml" not in REPAIR_SUFFIX.lower()
+
+
 # -- step 2: assess --------------------------------------------------------------
 
 
@@ -104,7 +124,7 @@ def test_assess_repairs_after_invalid_xml():
     report = assess_feasibility("img://1", "a cell", backend)
     assert len(report.features) == 1
     assert len(backend.requests) == 2
-    assert "could not be parsed" in backend.requests[1]
+    assert backend.requests[1] == backend.requests[0] + REPAIR_SUFFIX
 
 
 def test_assess_fails_after_second_bad_reply():
@@ -411,7 +431,7 @@ def test_journal_round_trip(tmp_path):
     run_pipeline(records, MockBackend(), journal_path=journal, max_workers=1)
     entries = read_journal(journal)
     assert {e.id for e in entries} == {"fix-00", "fix-01"}
-    assert all(e.template_version == "v1" for e in entries)
+    assert all(e.template_version == "v2" for e in entries)
 
 
 def test_journal_opened_once_and_each_line_readable_during_the_run(tmp_path, monkeypatch):
@@ -531,7 +551,7 @@ def test_caption_record_requires_caption():
 def _reply(status, text="generated"):
     resp = requests.Response()
     resp.status_code = status
-    resp._content = text.encode()
+    resp._content = text if isinstance(text, bytes) else text.encode()
     resp.url = "http://backend.test/generate"
     return resp
 
@@ -539,12 +559,16 @@ def _reply(status, text="generated"):
 @pytest.fixture
 def scripted_http(monkeypatch):
     """Scripts ``requests.post`` replies and records the prompts posted and
-    the backoff sleeps; no request leaves the process."""
+    the backoff sleeps; no request leaves the process.  A script item that
+    is a function is called with the prompt for the reply."""
     script, sleeps, posted = [], [], []
 
     def post(url, **kwargs):
-        posted.append(kwargs["json"]["prompt"])
+        prompt = kwargs["json"]["prompt"]
+        posted.append(prompt)
         item = script.pop(0)
+        if callable(item):
+            item = item(prompt)
         if isinstance(item, Exception):
             raise item
         return item
@@ -580,6 +604,50 @@ def test_http_backoff_and_attempts_reported(scripted_http):
         backend.generate("p")
     assert info.value.attempts == 3
     assert sleeps == [0.5, 1.0] and posted == ["p"] * 3
+
+
+MALFORMED_REPLIES = {
+    "empty": "",
+    "whitespace": " \n\t ",
+    "non-xml": "this is not xml at all",
+    "truncated-xml": '<features><feature label="FEASIBLE" rationale="ok">a ce',
+    "empty-features": "<features/>",
+    "non-utf8": b"\xff\xfe\xfa\x80 \xc3\x28 \xa0\xa1",
+    "2mb": "x" * 2_000_000,
+}
+GOOD_REPLIES = {
+    "augment": "a cell with a dark nucleus",
+    "assess": '<features><feature label="FEASIBLE" rationale="ok">a cell</feature></features>',
+    "refine": "a cell with a dark nucleus",
+}
+
+
+@pytest.mark.parametrize("stage", GOOD_REPLIES)
+@pytest.mark.parametrize("reply", MALFORMED_REPLIES)
+def test_a_malformed_reply_fails_at_its_stage_or_yields_a_valid_caption(
+        scripted_http, tmp_path, reply, stage):
+    script, _, posted = scripted_http
+    bad = MALFORMED_REPLIES[reply]
+
+    def answer(prompt):
+        task = prompt.split("\n", 1)[0].removeprefix("TASK: ")
+        return _reply(200, bad if task == stage else GOOD_REPLIES[task])
+
+    script += [answer] * 6  # three steps, each with at most one repair reprompt
+    journal = tmp_path / "journal.jsonl"
+    out = run_pipeline([simple_record()], HttpBackend("http://backend.test/generate"),
+                       journal_path=journal, max_workers=1)
+    (result,) = out.results
+    assert read_journal(journal) == out.results
+    # only the assess parser refuses a reply that is not blank
+    if stage == "assess" or not bad.strip():
+        assert result.status == "failed" and result.stage.startswith(f"{stage}: ")
+        asked = [p.split("\n", 1)[0] for p in posted]
+        assert asked[-2:] == [f"TASK: {stage}"] * 2 and asked.count(f"TASK: {stage}") == 2
+        assert posted[-1] == posted[-2] + REPAIR_SUFFIX
+    else:
+        assert result.status == "done"
+        CaptionRecord(id=result.id, image_ref="img://1", caption=result.caption)
 
 
 def test_request_log_keeps_every_prompt_across_threads():
