@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 import tarfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,6 +114,7 @@ def read_json_lines(path, what: str, build) -> list:
 
 
 _REQUIRED = object()
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # what each kind of record field must be in JSON; ``tuple`` is a list of strings
 _JSON_KINDS = {str: "a JSON string", int: "an integer", bool: "true or false",
                dict: "a JSON object", tuple: "a JSON list of strings"}
@@ -124,16 +126,26 @@ def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
     returned as a tuple).  The one checker of every record field.  An absent
     field is ``default`` or, without one, a ``KeyError``; a value of another
     kind is a ``TypeError`` naming ``key``, never converted: an id ``7`` read
-    as ``"7"`` or a string read as its characters would be a wrong value."""
+    as ``"7"`` or a string read as its characters would be a wrong value.  A
+    string holding a lone surrogate is a ``ValueError``."""
     if default is not _REQUIRED and key not in obj:
         return default
     value = obj[key]
-    if kind is tuple:
-        if isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return tuple(value)
-    elif type(value) is kind:
-        return value
-    raise TypeError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+    if kind is tuple and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        value = tuple(value)
+    elif type(value) is not kind:
+        raise TypeError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+    texts = (value,) if kind is str else value if kind is tuple else ()
+    if any(map(has_lone_surrogate, texts)):
+        raise ValueError(f"{key} holds a lone surrogate escape, which is not text")
+    return value
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """True when ``text`` holds a UTF-16 surrogate code point.  ``json.loads``
+    joins an escaped surrogate pair into one character, so what is left is an
+    escape such as ``\\ud800`` alone, which no UTF-8 encoder accepts."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def json_line(obj: dict) -> str:

@@ -350,12 +350,33 @@ def _read_checkpoint(path, with_params: bool):
 
 
 def load_checkpoint(path):
+    """The encoder configs, parameters and ``log_scale`` of a checkpoint.
+    Every parameter the header's configs call for must be there with its
+    shape, a float dtype and finite values; other arrays may be there too."""
     meta, params = _read_checkpoint(path, with_params=True)
     log_scale = meta.get("log_scale")
     if type(log_scale) not in (int, float):
         raise DataError(f"checkpoint {path}: bad or missing log_scale in the header")
-    return (_header_config(TextEncoderConfig, meta, "text_cfg", path),
-            _header_config(ImageEncoderConfig, meta, "img_cfg", path), params, log_scale)
+    text_cfg = _header_config(TextEncoderConfig, meta, "text_cfg", path)
+    img_cfg = _header_config(ImageEncoderConfig, meta, "img_cfg", path)
+    try:
+        shapes = param_shapes(text_cfg, img_cfg)
+    except UsageError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
+    for name, shape in shapes.items():
+        value = params.get(name)
+        if value is None:
+            fault = "is missing"
+        elif value.shape != shape:
+            fault = f"has shape {value.shape}, not {shape}"
+        elif value.dtype.kind != "f":
+            fault = f"has dtype {value.dtype}, not a float"
+        elif not np.isfinite(value).all():
+            fault = "holds non-finite values"
+        else:
+            continue
+        raise DataError(f"checkpoint {path}: parameter {name} {fault}")
+    return text_cfg, img_cfg, params, log_scale
 
 
 def checkpoint_vocab_fingerprint(path) -> str | None:

@@ -24,7 +24,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import json_field, json_line, read_json_lines
+from .data import has_lone_surrogate, json_field, json_line, read_json_lines
 from .errors import UsageError
 
 TEMPLATE_VERSION = "v2"
@@ -102,10 +102,12 @@ class CaptionRecord:
     def __post_init__(self):
         if not self.caption:
             raise UsageError(f"record {self.id!r}: caption must be nonempty")
-        # a number would reach the prompt and the caption as its text, and an
-        # empty expansion would fail the record after three backend steps
-        if not all(isinstance(v, str) and v for v in self.acronym_map.values()):
-            raise UsageError(f"record {self.id!r}: acronym_map values must be nonempty strings")
+        # a number would reach the prompt and the caption as its text, an
+        # empty expansion would fail the record after three backend steps, and
+        # a lone surrogate would reach the caption as no text at all
+        if not all(isinstance(v, str) and v and not has_lone_surrogate(v)
+                   for v in self.acronym_map.values()):
+            raise UsageError(f"record {self.id!r}: acronym_map values must be nonempty text")
 
 
 @dataclass(frozen=True)
@@ -287,12 +289,18 @@ def make_backend(descriptor: str):
 def _ask(backend, prompt: str, image_ref: str | None, read):
     """``read(reply)`` for the backend's reply to ``prompt``; the pipeline's
     one caller of ``backend.generate``.  A reply that ``read`` refuses with
-    ``ParseFailure`` earns exactly one repair reprompt; a second refusal
-    propagates."""
+    ``ParseFailure``, or that holds a lone surrogate (no text, and no XML),
+    earns exactly one repair reprompt; a second refusal propagates."""
+
+    def checked(reply):
+        if has_lone_surrogate(reply):
+            raise ParseFailure("the reply holds a lone surrogate, which is not text")
+        return read(reply)
+
     try:
-        return read(backend.generate(prompt, image_ref))
+        return checked(backend.generate(prompt, image_ref))
     except ParseFailure:
-        return read(backend.generate(prompt + REPAIR_SUFFIX, image_ref))
+        return checked(backend.generate(prompt + REPAIR_SUFFIX, image_ref))
 
 
 def _nonblank(reply: str, what: str) -> str:

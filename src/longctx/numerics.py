@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
 A ``Graph`` is a frozen DAG of primitive operations built once and then bound
-to named input arrays as many times as needed.  ``forward`` produces a
-``Tape`` (all intermediate values), ``backward`` walks the tape in reverse
-and returns one gradient array per graph input.  Everything runs in float64
-by default; float32 is selectable per graph for speed.
+to named input arrays as many times as needed.  Each op is defined once, by
+its rule in ``RULES``: the rule returns the op's value and a closure for its
+vector-Jacobian product.  ``forward`` produces a ``Tape`` (every node's value
+and VJP closure), ``backward`` walks the tape in reverse and returns one
+gradient array per graph input.  Everything runs in float64 by default;
+float32 is selectable per graph for speed.
 
 Primitives operate on the last axis where an axis matters (softmax,
 log-sum-exp, layer norm, l2 normalization).  Broadcasting is limited to
@@ -152,14 +154,15 @@ class Graph:
 class Tape:
     """Values of every node from one forward pass, consumed by backward.
 
-    ``aux`` holds per-node intermediates (tanh terms, norm statistics) so the
-    backward pass never recomputes transcendentals.
+    ``vjps`` holds each node's VJP closure from its rule (None for an input);
+    the closures keep the intermediates they need (tanh terms, norm
+    statistics), so the backward pass never recomputes transcendentals.
     """
 
-    def __init__(self, graph: Graph, values, aux):
+    def __init__(self, graph: Graph, values, vjps):
         self.graph = graph
         self.values = values
-        self.aux = aux
+        self.vjps = vjps
 
     @property
     def outputs(self) -> dict[str, np.ndarray]:
@@ -213,14 +216,6 @@ def _softmax_last(x):
     return e
 
 
-def _standardize(x):
-    """Rows of x centered and scaled to unit variance: (xhat, 1/std)."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
-    xhat *= inv
-    return xhat, inv
-
-
 def _row_means(x):
     """Means along the last axis, kept as a length-1 axis: a GEMV against a
     1/d column, several times faster than ``mean(axis=-1)`` on short rows.
@@ -229,130 +224,19 @@ def _row_means(x):
     return np.matmul(x, np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.dtype))
 
 
-def _gelu_tanh(x):
-    x2 = x * x
-    t = _GELU_A * x2 * x
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    return 0.5 * x * (1.0 + t), (t, x2)
+# -- rules: each op's forward value and its vector-Jacobian product -----------------
+#
+# A rule takes the node and its input values and returns ``(value, vjp)``;
+# ``vjp(gy)`` returns one gradient, or None, per input.
 
 
-def _gelu_grad(x, t, x2):
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+def _matmul(node, a, b):
+    _require(a.ndim >= 2 and b.ndim >= 2, node, "matmul needs >=2-d operands")
+    _require(a.shape[-1] == b.shape[-2], node, f"inner dims differ: {a.shape} @ {b.shape}")
+    _require(_broadcastable(a.shape[:-2], b.shape[:-2]), node,
+             f"leading dims not broadcastable: {a.shape} @ {b.shape}")
 
-
-# -- forward rules -----------------------------------------------------------
-
-
-def _fwd(node, xs):
-    """Returns (value, aux); aux carries intermediates the VJP reuses."""
-    op = node.op
-    if op == "matmul":
-        a, b = xs
-        _require(a.ndim >= 2 and b.ndim >= 2, node, "matmul needs >=2-d operands")
-        _require(a.shape[-1] == b.shape[-2], node,
-                 f"inner dims differ: {a.shape} @ {b.shape}")
-        _require(_broadcastable(a.shape[:-2], b.shape[:-2]), node,
-                 f"leading dims not broadcastable: {a.shape} @ {b.shape}")
-        return np.matmul(a, b), None
-    if op == "add" or op == "mul":
-        a, b = xs
-        _require(_broadcastable(a.shape, b.shape), node,
-                 f"shapes not broadcastable: {a.shape} vs {b.shape}")
-        return (a + b if op == "add" else a * b), None
-    if op == "scale":
-        return xs[0] * node.attrs["c"], None
-    if op == "gelu":
-        return _gelu_tanh(xs[0])
-    if op == "exp":
-        return np.exp(xs[0]), None
-    if op == "softmax":
-        _require(xs[0].ndim >= 1, node, "softmax needs >=1-d input")
-        return _softmax_last(xs[0]), None
-    if op == "logsumexp":
-        x = xs[0]
-        _require(x.ndim >= 1, node, "logsumexp needs >=1-d input")
-        m = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - m)
-        s = e.sum(axis=-1, keepdims=True)
-        return np.squeeze(m, -1) + np.log(np.squeeze(s, -1)), e / s
-    if op == "layer_norm":
-        x, gain, bias = xs
-        _require(x.ndim >= 1, node, "layer_norm needs >=1-d input")
-        _require(_broadcasts_to(gain.shape, x.shape) and _broadcasts_to(bias.shape, x.shape),
-                 node, "gain/bias not broadcastable to input")
-        xhat, inv = _standardize(x)
-        y = xhat * gain
-        y += bias
-        return y, (xhat, inv)
-    if op == "norm_attention":
-        h, qk, mask = xs
-        _require(h.ndim == 3 and qk.ndim == 3 and qk.shape[0] == h.shape[0]
-                 and qk.shape[2] == h.shape[2], node,
-                 f"norm_attention expects h [B,L,d] and qk [B,H,d], got {h.shape}, {qk.shape}")
-        _require(_broadcasts_to(mask.shape, qk.shape[:2] + h.shape[1:2]), node,
-                 f"mask {mask.shape} not broadcastable to [B,H,L] "
-                 f"{qk.shape[:2] + h.shape[1:2]}")
-        c = h - _row_means(h)
-        inv = np.swapaxes(1.0 / np.sqrt(_row_means(c * c) + LAYERNORM_EPS), -1, -2)
-        scores = np.matmul(qk, np.swapaxes(c, -1, -2))
-        scores *= inv
-        scores += mask
-        att = _softmax_last(scores)
-        return np.matmul(att * inv, c), (c, inv, att)
-    if op == "l2_normalize":
-        x = xs[0]
-        n = np.linalg.norm(x, axis=-1, keepdims=True)
-        _require(bool(np.all(n > 0)), node, "zero-norm row cannot be normalized")
-        return x / n, n
-    if op == "embedding":
-        table, ids = xs
-        _require(table.ndim == 2, node, "embedding table must be 2-d")
-        _require(ids.dtype.kind in "iu", node, "ids must be integers")
-        _require(ids.size == 0 or (ids.min() >= 0 and ids.max() < table.shape[0]),
-                 node, "token id out of range")
-        return table[ids], None
-    if op == "gather_rows":
-        x, idx = xs
-        _require(x.ndim >= 2 and idx.ndim == 1 and idx.shape[0] == x.shape[0],
-                 node, f"gather_rows expects [B,...] and [B] index, got {x.shape}, {idx.shape}")
-        _require(idx.dtype.kind in "iu", node, "indices must be integers")
-        _require(idx.size == 0 or (idx.min() >= 0 and idx.max() < x.shape[1]),
-                 node, "row index out of range")
-        return x[np.arange(x.shape[0]), idx], None
-    if op == "diag":
-        x = xs[0]
-        _require(x.ndim == 2 and x.shape[0] == x.shape[1], node,
-                 f"diag needs a square matrix, got {x.shape}")
-        return np.diagonal(x).copy(), None
-    if op == "transpose":
-        axes = node.attrs["axes"]
-        _require(len(axes) == xs[0].ndim, node,
-                 f"axes {axes} do not match rank {xs[0].ndim}")
-        return np.transpose(xs[0], axes), None
-    if op == "reshape":
-        shape = node.attrs["shape"]
-        _require(int(np.prod(shape)) == xs[0].size, node,
-                 f"cannot reshape {xs[0].shape} to {shape}")
-        return xs[0].reshape(shape), None
-    if op == "slice_rows":
-        n = node.attrs["n"]
-        _require(0 < n <= xs[0].shape[0], node,
-                 f"slice of {n} rows from shape {xs[0].shape}")
-        return xs[0][:n], None
-    if op == "mean":
-        return np.asarray(xs[0].mean()), None
-    raise UsageError(f"unknown primitive {op!r}")
-
-
-# -- backward rules (vector-Jacobian products) --------------------------------
-
-
-def _vjp(node, xs, y, gy, aux):
-    op = node.op
-    if op == "matmul":
-        a, b = xs
+    def vjp(gy):
         ga = np.matmul(gy, np.swapaxes(b, -1, -2))
         if a.shape[-2] == 1:
             # aT @ gy sums one product per element: an outer product.  BLAS
@@ -361,26 +245,70 @@ def _vjp(node, xs, y, gy, aux):
             gb += 0.0
         else:
             gb = np.matmul(np.swapaxes(a, -1, -2), gy)
-        return [_sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)]
-    if op == "add":
-        return [_sum_to_shape(gy, xs[0].shape), _sum_to_shape(gy, xs[1].shape)]
-    if op == "mul":
-        a, b = xs
-        return [_sum_to_shape(gy * b, a.shape), _sum_to_shape(gy * a, b.shape)]
-    if op == "scale":
-        return [gy * node.attrs["c"]]
-    if op == "gelu":
-        t, x2 = aux
-        return [gy * _gelu_grad(xs[0], t, x2)]
-    if op == "exp":
-        return [gy * y]
-    if op == "softmax":
-        return [y * (gy - (gy * y).sum(axis=-1, keepdims=True))]
-    if op == "logsumexp":
-        return [aux * gy[..., None]]
-    if op == "layer_norm":
-        x, gain, bias = xs
-        xhat, inv = aux
+        return _sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)
+
+    return np.matmul(a, b), vjp
+
+
+def _add(node, a, b):
+    _require(_broadcastable(a.shape, b.shape), node,
+             f"shapes not broadcastable: {a.shape} vs {b.shape}")
+    return a + b, lambda gy: (_sum_to_shape(gy, a.shape), _sum_to_shape(gy, b.shape))
+
+
+def _mul(node, a, b):
+    _require(_broadcastable(a.shape, b.shape), node,
+             f"shapes not broadcastable: {a.shape} vs {b.shape}")
+    return a * b, lambda gy: (_sum_to_shape(gy * b, a.shape), _sum_to_shape(gy * a, b.shape))
+
+
+def _scale(node, x):
+    c = node.attrs["c"]
+    return x * c, lambda gy: (gy * c,)
+
+
+def _gelu(node, x):
+    x2 = x * x
+    t = _GELU_A * x2 * x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    return 0.5 * x * (1.0 + t), lambda gy: (
+        gy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)),)
+
+
+def _exp(node, x):
+    y = np.exp(x)
+    return y, lambda gy: (gy * y,)
+
+
+def _softmax(node, x):
+    _require(x.ndim >= 1, node, "softmax needs >=1-d input")
+    y = _softmax_last(x)
+    return y, lambda gy: (y * (gy - (gy * y).sum(axis=-1, keepdims=True)),)
+
+
+def _logsumexp(node, x):
+    _require(x.ndim >= 1, node, "logsumexp needs >=1-d input")
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    p = e / s
+    return np.squeeze(m, -1) + np.log(np.squeeze(s, -1)), lambda gy: (p * gy[..., None],)
+
+
+def _layer_norm(node, x, gain, bias):
+    _require(x.ndim >= 1, node, "layer_norm needs >=1-d input")
+    _require(_broadcasts_to(gain.shape, x.shape) and _broadcasts_to(bias.shape, x.shape),
+             node, "gain/bias not broadcastable to input")
+    # the rows of x centered and scaled to unit variance
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+
+    def vjp(gy):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place
         dx = gy * gain
         t = dx * xhat
@@ -389,11 +317,25 @@ def _vjp(node, xs, y, gy, aux):
         dx -= np.multiply(xhat, t_mean, out=t)
         dx *= inv
         dgain = _sum_to_shape(np.multiply(gy, xhat, out=t), gain.shape)
-        dbias = _sum_to_shape(gy, bias.shape)
-        return [dx, dgain, dbias]
-    if op == "norm_attention":
-        _, qk, mask = xs
-        c, inv, att = aux  # inv is [B,1,L]
+        return dx, dgain, _sum_to_shape(gy, bias.shape)
+
+    return y, vjp
+
+
+def _norm_attention(node, h, qk, mask):
+    _require(h.ndim == 3 and qk.ndim == 3 and qk.shape[0] == h.shape[0]
+             and qk.shape[2] == h.shape[2], node,
+             f"norm_attention expects h [B,L,d] and qk [B,H,d], got {h.shape}, {qk.shape}")
+    _require(_broadcasts_to(mask.shape, qk.shape[:2] + h.shape[1:2]), node,
+             f"mask {mask.shape} not broadcastable to [B,H,L] {qk.shape[:2] + h.shape[1:2]}")
+    c = h - _row_means(h)
+    inv = np.swapaxes(1.0 / np.sqrt(_row_means(c * c) + LAYERNORM_EPS), -1, -2)  # [B,1,L]
+    scores = np.matmul(qk, np.swapaxes(c, -1, -2))
+    scores *= inv
+    scores += mask
+    att = _softmax_last(scores)
+
+    def vjp(gy):
         heads, d = att.shape[1], c.shape[-1]
         # g_xhat = Aᵀ·C for A = [att; gs] and C = [gy; qk].  Through xhat =
         # c∘inv, with W = A∘inv and P = C·cᵀ (its first H rows give g_att):
@@ -412,37 +354,94 @@ def _vjp(node, xs, y, gy, aux):
         t = p.sum(axis=1)[..., None]
         t *= np.square(np.swapaxes(inv, -1, -2)) / d
         g_h -= c * t
-        return [g_h, np.matmul(w[:, heads:], c), _sum_to_shape(gs, mask.shape)]
-    if op == "l2_normalize":
-        return [(gy - y * (gy * y).sum(axis=-1, keepdims=True)) / aux]
-    if op == "embedding":
-        table, ids = xs
+        return g_h, np.matmul(w[:, heads:], c), _sum_to_shape(gs, mask.shape)
+
+    return np.matmul(att * inv, c), vjp
+
+
+def _l2_normalize(node, x):
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    _require(bool(np.all(n > 0)), node, "zero-norm row cannot be normalized")
+    y = x / n
+    return y, lambda gy: ((gy - y * (gy * y).sum(axis=-1, keepdims=True)) / n,)
+
+
+def _embedding(node, table, ids):
+    _require(table.ndim == 2, node, "embedding table must be 2-d")
+    _require(ids.dtype.kind in "iu", node, "ids must be integers")
+    _require(ids.size == 0 or (ids.min() >= 0 and ids.max() < table.shape[0]),
+             node, "token id out of range")
+
+    def vjp(gy):
         # one 1-D scatter-add (numpy's fast path) into the flat table; each
         # element still receives its rows' values in position order
         d = table.shape[1]
         gt = np.zeros(table.shape, dtype=table.dtype)
         flat_ids = ids.astype(np.intp, copy=False)[..., None] * d + np.arange(d)
         np.add.at(gt.reshape(-1), flat_ids.reshape(-1), gy.reshape(-1))
-        return [gt, None]
-    if op == "gather_rows":
-        # the gathered rows' gradient alone: backward adds it in place at
-        # row idx[b] of sequence b, instead of forming the dense array
-        return [gy, None]
-    if op == "diag":
-        gx = np.zeros_like(xs[0])
+        return gt, None
+
+    return table[ids], vjp
+
+
+def _gather_rows(node, x, idx):
+    _require(x.ndim >= 2 and idx.ndim == 1 and idx.shape[0] == x.shape[0],
+             node, f"gather_rows expects [B,...] and [B] index, got {x.shape}, {idx.shape}")
+    _require(idx.dtype.kind in "iu", node, "indices must be integers")
+    _require(idx.size == 0 or (idx.min() >= 0 and idx.max() < x.shape[1]),
+             node, "row index out of range")
+    # the VJP is the gathered rows' gradient alone: backward adds it in place
+    # at row idx[b] of sequence b, instead of forming the dense array
+    return x[np.arange(x.shape[0]), idx], lambda gy: (gy, None)
+
+
+def _diag(node, x):
+    _require(x.ndim == 2 and x.shape[0] == x.shape[1], node,
+             f"diag needs a square matrix, got {x.shape}")
+
+    def vjp(gy):
+        gx = np.zeros_like(x)
         np.fill_diagonal(gx, gy)
-        return [gx]
-    if op == "transpose":
-        return [np.transpose(gy, np.argsort(node.attrs["axes"]))]
-    if op == "reshape":
-        return [gy.reshape(xs[0].shape)]
-    if op == "slice_rows":
-        gx = np.zeros_like(xs[0])
-        gx[: node.attrs["n"]] = gy
-        return [gx]
-    if op == "mean":
-        return [np.full_like(xs[0], gy / xs[0].size)]
-    raise UsageError(f"unknown primitive {op!r}")
+        return (gx,)
+
+    return np.diagonal(x).copy(), vjp
+
+
+def _transpose(node, x):
+    axes = node.attrs["axes"]
+    _require(len(axes) == x.ndim, node, f"axes {axes} do not match rank {x.ndim}")
+    return np.transpose(x, axes), lambda gy: (np.transpose(gy, np.argsort(axes)),)
+
+
+def _reshape(node, x):
+    shape = node.attrs["shape"]
+    _require(int(np.prod(shape)) == x.size, node, f"cannot reshape {x.shape} to {shape}")
+    return x.reshape(shape), lambda gy: (gy.reshape(x.shape),)
+
+
+def _slice_rows(node, x):
+    n = node.attrs["n"]
+    _require(0 < n <= x.shape[0], node, f"slice of {n} rows from shape {x.shape}")
+
+    def vjp(gy):
+        gx = np.zeros_like(x)
+        gx[:n] = gy
+        return (gx,)
+
+    return x[:n], vjp
+
+
+def _mean(node, x):
+    return np.asarray(x.mean()), lambda gy: (np.full_like(x, gy / x.size),)
+
+
+# looked up for every node at run time, so a test can swap one rule
+RULES = {"matmul": _matmul, "add": _add, "mul": _mul, "scale": _scale, "gelu": _gelu,
+         "exp": _exp, "softmax": _softmax, "logsumexp": _logsumexp,
+         "layer_norm": _layer_norm, "norm_attention": _norm_attention,
+         "l2_normalize": _l2_normalize, "embedding": _embedding,
+         "gather_rows": _gather_rows, "diag": _diag, "transpose": _transpose,
+         "reshape": _reshape, "slice_rows": _slice_rows, "mean": _mean}
 
 
 # -- public API ----------------------------------------------------------------
@@ -479,7 +478,7 @@ def forward(graph: Graph, bindings: dict[str, np.ndarray]) -> Tape:
 
 def _run(graph: Graph, bound: dict[str, np.ndarray], check_every_node: bool) -> Tape:
     values = [None] * len(graph.nodes)
-    aux = [None] * len(graph.nodes)
+    vjps = [None] * len(graph.nodes)
     for name, node in graph.inputs.items():
         v = bound[name]
         if check_every_node and v.dtype.kind not in "iu":
@@ -489,13 +488,11 @@ def _run(graph: Graph, bound: dict[str, np.ndarray], check_every_node: bool) -> 
         for node in graph.nodes:
             if node.op == "input":
                 continue
-            xs = [values[a.idx] for a in node.args]
-            out, extra = _fwd(node, xs)
+            out, vjps[node.idx] = RULES[node.op](node, *[values[a.idx] for a in node.args])
             if check_every_node:
                 _check_finite(out, node)
             values[node.idx] = out
-            aux[node.idx] = extra
-    return Tape(graph, values, aux)
+    return Tape(graph, values, vjps)
 
 
 def backward(tape: Tape, output: str | None = None, seed=None) -> dict[str, np.ndarray]:
@@ -529,17 +526,16 @@ def backward(tape: Tape, output: str | None = None, seed=None) -> dict[str, np.n
     owned = [False] * len(graph.nodes)
     grads[out_node.idx] = seed
     for node in reversed(graph.nodes):
-        gy = grads[node.idx]
-        if gy is None or node.op == "input":
+        gy, vjp = grads[node.idx], tape.vjps[node.idx]
+        if gy is None or vjp is None:  # an input has no VJP
             continue
-        xs = [tape.values[a.idx] for a in node.args]
-        parts = _vjp(node, xs, tape.values[node.idx], gy, tape.aux[node.idx])
-        for arg, x, part in zip(node.args, xs, parts):
+        for arg, part in zip(node.args, vjp(gy)):
             if part is None:
                 continue
             i = arg.idx
             if node.op == "gather_rows":
-                at = (np.arange(x.shape[0]), xs[1])
+                x = tape.values[i]
+                at = (np.arange(x.shape[0]), tape.values[node.args[1].idx])
                 if grads[i] is None:
                     grads[i] = np.zeros_like(x)
                     grads[i][at] = part

@@ -17,7 +17,7 @@ from longctx import cli
 from longctx.data import PairedCorpus, json_line
 from longctx.errors import UsageError
 from longctx.longcap import CaptionRecord
-from longctx.numerics import LAYERNORM_EPS, Graph, _fwd, _sum_to_shape, _vjp, forward
+from longctx.numerics import LAYERNORM_EPS, RULES, Graph, _sum_to_shape, forward
 from longctx.tokenizer import _CHUNK_RE, Vocab, train_bpe
 from longctx.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, decayable, train
 
@@ -188,48 +188,43 @@ def bits(a) -> np.ndarray:
     return a.view(f"u{a.itemsize}")
 
 
-def _layer_norm_parts(x):
+def _plain_matmul(node, a, b):
+    def vjp(gy):
+        ga = np.matmul(gy, np.swapaxes(b, -1, -2))
+        gb = np.matmul(np.swapaxes(a, -1, -2), gy)
+        return _sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)
+
+    return np.matmul(a, b), vjp
+
+
+def _plain_layer_norm(node, x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (x - mu) * inv
-    return xhat, inv
 
-
-def reference_fwd(node, xs):
-    """``numerics._fwd`` with the layer norm computed out of place."""
-    if node.op == "layer_norm":
-        x, gain, bias = xs
-        xhat, inv = _layer_norm_parts(x)
-        return xhat * gain + bias, (xhat, inv)
-    return _fwd(node, xs)
-
-
-def reference_vjp(node, xs, y, gy, aux):
-    """``numerics._vjp`` with the matmul, layer norm and embedding rules
-    written out plainly: a full matmul, out-of-place arithmetic and a 2-D
-    ``np.add.at``."""
-    op = node.op
-    if op == "matmul":
-        a, b = xs
-        ga = np.matmul(gy, np.swapaxes(b, -1, -2))
-        gb = np.matmul(np.swapaxes(a, -1, -2), gy)
-        return [_sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)]
-    if op == "layer_norm":
-        x, gain, bias = xs
-        xhat, inv = aux
+    def vjp(gy):
         dxhat = gy * gain
         dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        dgain = _sum_to_shape(gy * xhat, gain.shape)
-        dbias = _sum_to_shape(gy, bias.shape)
-        return [dx, dgain, dbias]
-    if op == "embedding":
-        table, ids = xs
+        return dx, _sum_to_shape(gy * xhat, gain.shape), _sum_to_shape(gy, bias.shape)
+
+    return xhat * gain + bias, vjp
+
+
+def _plain_embedding(node, table, ids):
+    def vjp(gy):
         gt = np.zeros_like(table)
         np.add.at(gt, ids, gy)
-        return [gt, None]
-    return _vjp(node, xs, y, gy, aux)
+        return gt, None
+
+    return table[ids], vjp
+
+
+# ``numerics.RULES`` with the matmul, layer norm and embedding rules written
+# out plainly: a full matmul, out-of-place arithmetic and a 2-D ``np.add.at``
+REFERENCE_RULES = dict(RULES, matmul=_plain_matmul, layer_norm=_plain_layer_norm,
+                       embedding=_plain_embedding)
 
 
 def reference_adamw_update(state, lr, cfg) -> None:

@@ -692,11 +692,17 @@ COMMAND_INPUTS = [
     ("ablate", ("corpus", "config")),
 ]
 # every input holds non-UTF-8 bytes once; a checkpoint or corpus is also cut in
-# half, and a corpus or articles file gets a NaN image feature on its line 1
-DAMAGED = {"half-length": ("checkpoint", "corpus"), "non-finite": ("corpus", "articles")}
+# half, a corpus or articles file gets a NaN image feature on its line 1, a
+# record file a lone surrogate escape in a string on its line 1, and a
+# checkpoint loses a parameter or gets a NaN in one
+DAMAGED = {"half-length": ("checkpoint", "corpus"), "non-finite": ("corpus", "articles"),
+           "lone-surrogate": ("corpus", "records", "articles", "task", "resume"),
+           "missing-param": ("checkpoint",), "nan-param": ("checkpoint",)}
+# the parameter each checkpoint damage touches
+DAMAGED_PARAM = {"missing-param": "txt.proj", "nan-param": "img.l0.w"}
 SWEEP = [(command, inputs, bad, damage)
          for command, inputs in COMMAND_INPUTS for bad in inputs
-         for damage in ("non-utf8", "half-length", "non-finite")
+         for damage in ("non-utf8", *DAMAGED)
          if damage == "non-utf8" or bad in DAMAGED[damage]]
 
 
@@ -739,12 +745,30 @@ def test_bad_input_file_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
         raw = paths[bad].read_bytes()
         paths[bad] = tmp_path / paths[bad].name
         paths[bad].write_bytes(raw[:len(raw) // 2])
-    elif damage == "non-finite":
-        first, *rest = paths[bad].read_text().splitlines()
+    elif damage in ("non-finite", "lone-surrogate"):
+        # the journal is the one input written here: a run appends to it
+        first, *rest = (['{"id": "r1", "status": "done", "caption": "a cell"}']
+                        if bad == "resume" else paths[bad].read_text().splitlines())
         obj = json.loads(first)
-        (obj["figures"][0] if bad == "articles" else obj)["image"][0] = float("nan")
+        target = obj["figures"][0] if bad == "articles" else obj
+        if damage == "non-finite":
+            target["image"][0] = float("nan")
+        elif bad == "task":
+            target["options"][0] = "a \ud800 cell"
+        else:
+            target["caption"] = "a \ud800 cell"
         paths[bad] = tmp_path / paths[bad].name
         paths[bad].write_text("\n".join([json.dumps(obj), *rest]) + "\n")
+    elif damage in DAMAGED_PARAM:
+        with np.load(paths[bad]) as data:
+            arrays = {k: data[k] for k in data.files}
+        name = f"param/{DAMAGED_PARAM[damage]}"
+        if damage == "missing-param":
+            del arrays[name]
+        else:
+            arrays[name][0, 0] = np.nan
+        paths[bad] = tmp_path / paths[bad].name
+        np.savez(paths[bad], **arrays)
     elif bad == "vocab":
         paths[bad] = tmp_path / "vocab"
         paths[bad].mkdir()
@@ -766,6 +790,10 @@ def test_bad_input_file_is_one_line_diagnostic(tmp_path, capsys, valid_inputs,
     assert str(paths[bad]) in err
     if damage == "non-finite":
         assert "line 1" in err and "finite" in err
+    if damage == "lone-surrogate":
+        assert "line 1" in err and "surrogate" in err
+    if damage in DAMAGED_PARAM:
+        assert f"parameter {DAMAGED_PARAM[damage]}" in err
     # every file the command opened is closed on the error path too
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 

@@ -154,6 +154,15 @@ def test_raw_line_separators_stay_inside_their_string(tmp_path, reader):
     assert field(read(path)) == SEPARATED
 
 
+@pytest.mark.parametrize("reader", READERS)
+def test_an_escaped_surrogate_pair_reads_as_one_character(tmp_path, reader):
+    # a lone surrogate escape is refused (test_cli's sweep); a pair is one emoji
+    read, first, field = READERS[reader]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(_line(first).replace(b"middle", rb"\ud83d\ude00"))
+    assert field(read(path)) == SEPARATED.replace("middle", "\U0001F600")
+
+
 def test_load_corpus_holds_one_line_besides_what_it_keeps(tmp_path):
     # a 3 MB file: reading it whole would add its size on top of the records
     corpus, _ = generate_synthetic(SyntheticSpec(num_classes=10, samples_per_class=150,
@@ -246,6 +255,9 @@ WRONG_TYPES = {
     # not a wrong type: it would fail the record after three backend calls
     "acronym_map-empty": (read_caption_records, {"id": "a", "caption": "cap"},
                           ["acronym_map"], {"HE": ""}),
+    # not a wrong type either: it would reach the caption, which is then no text
+    "acronym_map-surrogate": (read_caption_records, {"id": "a", "caption": "cap"},
+                              ["acronym_map"], {"HE": "\ud800"}),
     "journal-id": (read_journal, JOURNAL_LINE, ["id"], 5),
     "status": (read_journal, JOURNAL_LINE, ["status"], 1),
     "journal-caption": (read_journal, JOURNAL_LINE, ["caption"], None),

@@ -294,14 +294,32 @@ def _edit_header(path, edit):
     lambda m: m["text_cfg"].update(num_heads=0),
     lambda m: m["text_cfg"].update(num_heads=3),
     lambda m: m["img_cfg"].update(hidden_dim=10.5),
+    lambda m: m["img_cfg"].update(output_dim=4),
 ], ids=["no-text-cfg", "no-img-cfg", "no-log-scale", "str-log-scale", "list-cfg",
         "unknown-key", "missing-key", "str-value", "zero-heads", "indivisible-heads",
-        "float-value"])
+        "float-value", "output-dims-differ"])
 def test_bad_checkpoint_header_is_data_error(tmp_path, params, edit):
     path = tmp_path / "model.npz"
     save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5)
     _edit_header(path, edit)
     with pytest.raises(DataError, match="model.npz"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda p: p.pop("txt.proj"), "txt.proj is missing"),
+    (lambda p: p.update({"txt.pos_emb": p["txt.pos_emb"][:-1]}),
+     r"txt.pos_emb has shape \(15, 16\), not \(16, 16\)"),
+    (lambda p: p.update({"img.proj": p["img.proj"].astype(np.int64)}),
+     "img.proj has dtype int64"),
+    (lambda p: p["img.l0.w"].__setitem__((0, 0), np.inf), "img.l0.w holds non-finite"),
+], ids=["missing", "short", "integer", "infinite"])
+def test_bad_checkpoint_parameter_is_data_error(tmp_path, params, edit, fault):
+    params = {k: v.copy() for k, v in params.items()}
+    edit(params)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, TEXT_CFG, IMG_CFG, params, log_scale=2.5)
+    with pytest.raises(DataError, match=f"checkpoint .*model.npz: parameter {fault}"):
         load_checkpoint(path)
 
 

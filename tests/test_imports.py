@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from longctx.numerics import RULES
+
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 PACKAGE = ROOT / "src" / "longctx"
@@ -60,6 +62,17 @@ def test_only_ask_calls_generate_in_longcap():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "generate"}
     assert {c for c in callers if not c.endswith("Backend")} == {"_ask"}
+
+
+def test_graph_builders_register_exactly_the_ops_with_a_rule():
+    # each op is defined once, by its rule: a builder with no rule, or a rule
+    # no builder reaches, fails here rather than in the middle of a forward
+    tree = ast.parse((PACKAGE / "numerics.py").read_text())
+    graph = next(top for top in tree.body if getattr(top, "name", None) == "Graph")
+    ops = {node.args[0].value for node in ast.walk(graph)
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and node.func.attr == "_register"}
+    assert ops - {"input"} == set(RULES)
 
 
 def test_unused_import_detector():

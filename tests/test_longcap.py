@@ -40,7 +40,8 @@ from longctx.longcap import (
 
 
 class ScriptedBackend:
-    """Returns canned responses in order; raises when scripted to."""
+    """Returns canned responses in order; raises when scripted to.  A
+    response that is a function is called with the prompt for the reply."""
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -49,6 +50,8 @@ class ScriptedBackend:
     def generate(self, prompt, image_ref=None):
         self.requests.append(prompt)
         item = self.responses.pop(0)
+        if callable(item):
+            item = item(prompt)
         if isinstance(item, Exception):
             raise item
         return item
@@ -614,6 +617,9 @@ MALFORMED_REPLIES = {
     "empty-features": "<features/>",
     "non-utf8": b"\xff\xfe\xfa\x80 \xc3\x28 \xa0\xa1",
     "2mb": "x" * 2_000_000,
+    # well-formed but for the lone surrogate, which is neither text nor XML
+    "lone-surrogate": '<features><feature label="FEASIBLE" rationale="ok">a \ud800 cell'
+                      '</feature></features>',
 }
 GOOD_REPLIES = {
     "augment": "a cell with a dark nucleus",
@@ -631,16 +637,23 @@ def test_a_malformed_reply_fails_at_its_stage_or_yields_a_valid_caption(
 
     def answer(prompt):
         task = prompt.split("\n", 1)[0].removeprefix("TASK: ")
-        return _reply(200, bad if task == stage else GOOD_REPLIES[task])
+        return bad if task == stage else GOOD_REPLIES[task]
 
-    script += [answer] * 6  # three steps, each with at most one repair reprompt
+    # three steps, each with at most one repair reprompt
+    if reply == "lone-surrogate":
+        # requests decodes a body with replacement, so only a backend of
+        # another kind can return a lone surrogate
+        backend = ScriptedBackend([answer] * 6)
+        posted = backend.requests
+    else:
+        script += [lambda prompt: _reply(200, answer(prompt))] * 6
+        backend = HttpBackend("http://backend.test/generate")
     journal = tmp_path / "journal.jsonl"
-    out = run_pipeline([simple_record()], HttpBackend("http://backend.test/generate"),
-                       journal_path=journal, max_workers=1)
+    out = run_pipeline([simple_record()], backend, journal_path=journal, max_workers=1)
     (result,) = out.results
     assert read_journal(journal) == out.results
-    # only the assess parser refuses a reply that is not blank
-    if stage == "assess" or not bad.strip():
+    # only the assess parser refuses a reply that is not blank and is text
+    if stage == "assess" or not bad.strip() or reply == "lone-surrogate":
         assert result.status == "failed" and result.stage.startswith(f"{stage}: ")
         asked = [p.split("\n", 1)[0] for p in posted]
         assert asked[-2:] == [f"TASK: {stage}"] * 2 and asked.count(f"TASK: {stage}") == 2

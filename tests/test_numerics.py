@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bits, evaluate, finite_difference_grad, reference_fwd, reference_vjp
+from helpers import REFERENCE_RULES, bits, evaluate, finite_difference_grad
 from longctx.encoders import MASK_VALUE
 from longctx.errors import NumericError, ShapeError, UsageError
-from longctx.numerics import (
-    Graph,
-    _fwd,
-    _vjp,
-    backward,
-    forward,
-)
+from longctx.numerics import RULES, Graph, backward, forward
 
 
 def rel_err(a, b, floor=1e-6):
@@ -351,7 +345,12 @@ def _values(rng, shape, dtype, zero_share):
     return x.astype(dtype)
 
 
-def _assert_same_bytes(got, want):
+def _assert_rule_matches_oracle(op, xs, gy):
+    """The op's value and VJP from ``RULES`` and from ``REFERENCE_RULES``
+    are the same bytes."""
+    node = _node(op, len(xs))
+    (y, vjp), (want_y, want_vjp) = RULES[op](node, *xs), REFERENCE_RULES[op](node, *xs)
+    got, want = (y, *vjp(gy)), (want_y, *want_vjp(gy))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if w is None:
@@ -384,9 +383,7 @@ def test_matmul_vjp_matches_oracle(batches, m, k, n, dtype, zero_share, seed):
     a = _values(rng, batches[0] + (m, k), dtype, zero_share)
     b = _values(rng, batches[1] + (k, n), dtype, zero_share)
     gy = _values(rng, np.broadcast_shapes(batches[0], batches[1]) + (m, n), dtype, 0.0)
-    node = _node("matmul", 2)
-    _assert_same_bytes(_vjp(node, [a, b], None, gy, None),
-                       reference_vjp(node, [a, b], None, gy, None))
+    _assert_rule_matches_oracle("matmul", [a, b], gy)
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,12 +397,7 @@ def test_layer_norm_matches_oracle(batch, d, gain_shape, dtype, seed):
     gain = _values(rng, pshape, dtype, 0.1)
     bias = _values(rng, pshape, dtype, 0.1)
     gy = _values(rng, shape, dtype, 0.1)
-    node = _node("layer_norm", 3)
-    y, aux = _fwd(node, [x, gain, bias])
-    want_y, want_aux = reference_fwd(node, [x, gain, bias])
-    _assert_same_bytes([y, *aux], [want_y, *want_aux])
-    _assert_same_bytes(_vjp(node, [x, gain, bias], y, gy, aux),
-                       reference_vjp(node, [x, gain, bias], y, gy, aux))
+    _assert_rule_matches_oracle("layer_norm", [x, gain, bias], gy)
 
 
 @settings(max_examples=150, deadline=None)
@@ -418,9 +410,7 @@ def test_embedding_vjp_matches_oracle(rows, d, ids_shape, dtype, seed):
     table = _values(rng, (rows, d), dtype, 0.0)
     ids = rng.integers(0, rows, size=tuple(ids_shape))
     gy = _values(rng, tuple(ids_shape) + (d,), dtype, 0.1)
-    node = _node("embedding", 2)
-    _assert_same_bytes(_vjp(node, [table, ids], None, gy, None),
-                       reference_vjp(node, [table, ids], None, gy, None))
+    _assert_rule_matches_oracle("embedding", [table, ids], gy)
 
 
 def test_layer_norm_gain_must_broadcast_to_input():

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    REFERENCE_RULES,
     bits,
     contrastive_loss,
     eos_row_text_tower,
     finite_difference_grad,
     reference_adamw_update,
-    reference_fwd,
-    reference_vjp,
     train_with_bpe,
 )
 from longctx import cli, numerics, trainer
@@ -312,21 +311,29 @@ def _digest_run(mp, context, dtype) -> str:
     vocab = train_bpe(corpus.captions(), 400)
     text_cfg, img_cfg = cli._encoder_configs(cfg, context, vocab.size, corpus.image_dim)
     h = hashlib.sha256()
-    rule, clip = numerics._vjp, trainer.clip_gradients
+    clip = trainer.clip_gradients
 
-    def hashed_vjp(node, xs, y, gy, aux):
-        parts = rule(node, xs, y, gy, aux)
-        for part in parts:
-            if part is not None:
-                h.update(bits(part).tobytes())
-        return parts
+    def hashed(rule):
+        def hashed_rule(node, *xs):
+            y, vjp = rule(node, *xs)
+
+            def hashed_vjp(gy):
+                parts = vjp(gy)
+                for part in parts:
+                    if part is not None:
+                        h.update(bits(part).tobytes())
+                return parts
+
+            return y, hashed_vjp
+
+        return hashed_rule
 
     def hashed_clip(grads, max_norm):
         for g in grads.values():
             h.update(bits(g).tobytes())
         return clip(grads, max_norm)
 
-    mp.setattr(numerics, "_vjp", hashed_vjp)
+    mp.setattr(numerics, "RULES", {op: hashed(rule) for op, rule in numerics.RULES.items()})
     mp.setattr(trainer, "clip_gradients", hashed_clip)
     result = train(cli._train_config(cfg, context, 0), corpus, text_cfg, img_cfg, vocab)
     assert len(result.curve) == 6
@@ -342,8 +349,7 @@ def test_training_step_matches_oracle_bytes(monkeypatch, context, dtype):
     with monkeypatch.context() as mp:
         fast = _digest_run(mp, context, dtype)
     with monkeypatch.context() as mp:
-        mp.setattr(numerics, "_fwd", reference_fwd)
-        mp.setattr(numerics, "_vjp", reference_vjp)
+        mp.setattr(numerics, "RULES", REFERENCE_RULES)
         mp.setattr(trainer, "_adamw_update", reference_adamw_update)
         oracle = _digest_run(mp, context, dtype)
     assert fast == oracle
