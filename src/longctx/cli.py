@@ -257,8 +257,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         values = []
-    if not values or min(values) < 1:
-        raise UsageError(f"bad {what} list {text!r}: expected integers of at least 1")
+    if not values or min(values) < 1 or len(set(values)) < len(values):
+        raise UsageError(f"bad {what} list {text!r}: expected distinct integers of at least 1")
     return values
 
 
@@ -291,13 +291,14 @@ def _encoder_configs(cfg: dict, context_length: int, vocab_size: int, image_dim:
     return text_cfg, img_cfg
 
 
-def _check_model_configs(cfg: dict, contexts, image_dim: int) -> None:
-    """Refuse a bad training or encoder value before any output or BPE.  The
-    trained vocabulary's size is not known yet, so the requested size stands
-    in for it; the runs build their configs again with the trained one."""
+def _check_model_configs(cfg: dict, contexts, corpus) -> None:
+    """Refuse a bad training or encoder value, or a corpus smaller than one
+    batch, before any output or BPE.  The trained vocabulary's size is not
+    known yet, so the requested size stands in for it; the runs build their
+    configs again with the trained one."""
     for context in contexts:
-        _train_config(cfg, context, cfg["seed"])
-        _encoder_configs(cfg, context, cfg["vocab_size"], image_dim)
+        _train_config(cfg, context, cfg["seed"]).check_corpus_size(len(corpus))
+        _encoder_configs(cfg, context, cfg["vocab_size"], corpus.image_dim)
 
 
 @dataclass(frozen=True)
@@ -464,14 +465,14 @@ def run_ablation(workers: dict, cfg: dict, corpus, train_vocab, contexts,
 
 def cmd_tokenize_stats(cfg: dict) -> int:
     check_cutoff(cfg["cutoff"])
+    if bool(cfg["corpus"]) == bool(cfg["captions"]):
+        raise UsageError("give exactly one of --corpus and --captions")
     if cfg["corpus"]:
         captions = load_corpus(cfg["corpus"]).captions()
-    elif cfg["captions"]:
+    else:
         # newlines only, as every JSON-lines input; a CRLF file keeps working
         captions = [ln.removesuffix("\r") for ln in read_text(cfg["captions"]).split("\n")]
         captions = [c for c in captions if c]
-    else:
-        raise UsageError("missing required input: --corpus or --captions")
     out = prepare_out_dir("tokenize-stats", cfg)
     short = ""
     if cfg["vocab"]:
@@ -512,7 +513,7 @@ def cmd_train(cfg: dict) -> int:
     from .trainer import train, write_loss_curve
 
     corpus = load_corpus(_require_input(cfg, "corpus"))
-    _check_model_configs(cfg, [cfg["context_length"]], corpus.image_dim)
+    _check_model_configs(cfg, [cfg["context_length"]], corpus)
     out = prepare_out_dir("train", cfg)
     train_cfg = _train_config(cfg, cfg["context_length"], cfg["seed"])
     vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
@@ -668,7 +669,7 @@ def cmd_ablate(cfg: dict) -> int:
     # while this process trains BPE
     with ablation_workers(len(contexts)) as workers:
         corpus = load_corpus(corpus_path)
-        _check_model_configs(cfg, contexts, corpus.image_dim)
+        _check_model_configs(cfg, contexts, corpus)
         out = prepare_out_dir("ablate", cfg)
         runs = run_ablation(workers, cfg, corpus,
                             lambda: train_bpe(corpus.captions(), cfg["vocab_size"]),

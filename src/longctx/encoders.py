@@ -128,8 +128,8 @@ def init_params(text_cfg: TextEncoderConfig, img_cfg: ImageEncoderConfig,
 def build_text_tower(g: Graph, cfg: TextEncoderConfig, batch: int, seq_len: int):
     """Append the text encoder to a graph; returns the [B, out] embedding node.
 
-    Expects bindings: txt.* parameters, ``ids`` [B, L] int, ``mask``
-    [B, 1, 1, L] additive, ``eos_idx`` [B] int.
+    Expects bindings: txt.* parameters and ``text_inputs``' ``ids`` [B, L]
+    int, ``mask`` [B, 1, 1, L] additive and ``eos_idx`` [B] int.
 
     Only the EOS position of the last block reaches the pooled output, so
     that block computes its query, residual and feed-forward for the EOS
@@ -228,6 +228,12 @@ def batch_arrays(seqs: list[tuple[int, ...]], pad_id: int, trim_to: int | None =
     return ids, visible
 
 
+def text_inputs(ids: np.ndarray, visible: np.ndarray) -> dict[str, np.ndarray]:
+    """The text tower's ``ids``, ``mask`` and ``eos_idx`` bindings for PAD-filled
+    ``ids`` [B, L] whose rows hold ``visible`` [B] real ids each."""
+    return {"ids": ids, "mask": attention_mask(visible, ids.shape[1]), "eos_idx": visible - 1}
+
+
 @functools.cache
 def _text_graph(cfg: TextEncoderConfig, batch: int, seq_len: int, dtype) -> Graph:
     g = Graph(dtype=dtype)
@@ -240,39 +246,6 @@ def _image_graph(cfg: ImageEncoderConfig, dtype) -> Graph:
     g = Graph(dtype=dtype)
     g.output(build_image_tower(g, cfg))
     return g
-
-
-def text_encode(params: dict, cfg: TextEncoderConfig, seqs: list[tuple[int, ...]],
-                dtype="float64") -> np.ndarray:
-    """Unit-norm embedding per sequence of visible ids (``len(seq) <= context_length``),
-    pooled from the EOS position; the batch is padded to its longest sequence."""
-    if not seqs:
-        raise UsageError("empty batch")
-    for s in seqs:
-        if len(s) > cfg.context_length:
-            raise UsageError(
-                f"sequence of {len(s)} visible ids exceeds context "
-                f"{cfg.context_length}; encode with the right window first")
-    pad_id = cfg.vocab_size - 3
-    ids, visible = batch_arrays(seqs, pad_id=pad_id)
-    g = _text_graph(cfg, len(seqs), ids.shape[1], dtype)
-    bindings = {k: v for k, v in params.items() if k in g.inputs}
-    bindings["ids"] = ids
-    bindings["mask"] = attention_mask(visible, ids.shape[1])
-    bindings["eos_idx"] = visible - 1
-    return forward(g, bindings).outputs["z_txt"]
-
-
-def image_encode(params: dict, cfg: ImageEncoderConfig, images: np.ndarray,
-                 dtype="float64") -> np.ndarray:
-    """Unit-norm embedding per image feature vector."""
-    images = np.atleast_2d(np.asarray(images))
-    if images.shape[1] != cfg.input_dim:
-        raise UsageError(f"expected feature dim {cfg.input_dim}, got {images.shape[1]}")
-    g = _image_graph(cfg, dtype)
-    bindings = {k: v for k, v in params.items() if k in g.inputs}
-    bindings["img"] = images
-    return forward(g, bindings).outputs["z_img"]
 
 
 # -- bundled model ------------------------------------------------------------------
@@ -294,18 +267,27 @@ class TrainedModel:
         return str(self.params["txt.tok_emb"].dtype)
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:
-        """Unit embeddings of ``texts``, tokenized one batch at a time."""
-        n = self.text_cfg.context_length
-        chunks = [text_encode(self.params, self.text_cfg,
-                              [encode(self.vocab, t, n) for t in texts[i:i + ENCODE_TEXT_BATCH]],
-                              dtype=self.dtype)
-                  for i in range(0, len(texts), ENCODE_TEXT_BATCH)]
+        """Unit embeddings of ``texts``, tokenized one batch at a time; each
+        batch is padded to its longest sequence and pooled from its EOS."""
+        chunks = []
+        for i in range(0, len(texts), ENCODE_TEXT_BATCH):
+            seqs = [encode(self.vocab, t, self.text_cfg.context_length)
+                    for t in texts[i:i + ENCODE_TEXT_BATCH]]
+            ids, visible = batch_arrays(seqs, pad_id=self.vocab.pad_id)
+            g = _text_graph(self.text_cfg, len(seqs), ids.shape[1], self.dtype)
+            bindings = {k: v for k, v in self.params.items() if k in g.inputs}
+            chunks.append(forward(g, {**bindings, **text_inputs(ids, visible)}).outputs["z_txt"])
         return np.concatenate(chunks, axis=0)
 
     def encode_images(self, images: np.ndarray) -> np.ndarray:
+        """Unit embeddings of image feature vectors [N, input_dim]."""
         images = np.atleast_2d(np.asarray(images))
-        chunks = [image_encode(self.params, self.img_cfg, images[i:i + ENCODE_IMAGE_BATCH],
-                               dtype=self.dtype)
+        if images.shape[1] != self.img_cfg.input_dim:
+            raise UsageError(f"expected feature dim {self.img_cfg.input_dim}, "
+                             f"got {images.shape[1]}")
+        g = _image_graph(self.img_cfg, self.dtype)
+        bindings = {k: v for k, v in self.params.items() if k in g.inputs}
+        chunks = [forward(g, dict(bindings, img=images[i:i + ENCODE_IMAGE_BATCH])).outputs["z_img"]
                   for i in range(0, len(images), ENCODE_IMAGE_BATCH)]
         return np.concatenate(chunks, axis=0)
 

@@ -10,6 +10,7 @@ identity is (step, loss, lr).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -22,11 +23,11 @@ from .encoders import (
     ImageEncoderConfig,
     TextEncoderConfig,
     TrainedModel,
-    attention_mask,
     batch_arrays,
     build_image_tower,
     build_text_tower,
     init_params,
+    text_inputs,
 )
 from .errors import NumericError, UsageError
 from .numerics import Graph, backward, forward
@@ -70,14 +71,22 @@ class TrainConfig:
         if self.warmup_steps < 0:
             raise UsageError(f"warmup_steps must be at least 0, not {self.warmup_steps}")
 
+    def check_corpus_size(self, size: int) -> None:
+        """Every epoch trains at least one full batch."""
+        if size < self.batch_size:
+            raise UsageError(f"corpus size {size} < batch_size {self.batch_size}")
 
-class FlatBuffers:
-    """Parameters, both AdamW moments and the gradient as one contiguous
-    buffer each, plus a scratch buffer, so that an update is a few
-    whole-buffer ufuncs that allocate nothing.  Decayable parameters come
-    first: weight decay covers the leading ``n_decay`` elements."""
 
-    def __init__(self, params: dict):
+class TrainState:
+    """The training state after ``step`` steps.  The parameters, both AdamW
+    moments and the gradient are one contiguous buffer each (``p``, ``m``,
+    ``v``, ``g``), plus a scratch buffer, so that an update is a few
+    whole-buffer ufuncs that allocate nothing; ``params`` and ``grads`` are
+    views into ``p`` and ``g``.  Decayable parameters come first: weight
+    decay covers the leading ``n_decay`` elements."""
+
+    def __init__(self, params: dict, log_scale: float):
+        """Step 0: the parameters copied into new buffers, zero moments."""
         self.shapes = {k: p.shape for k, p in params.items()}
         self.order = sorted(params, key=lambda k: not decayable(k))
         self.n_decay = sum(params[k].size for k in self.order if decayable(k))
@@ -86,6 +95,9 @@ class FlatBuffers:
         self.p, self.m, self.v, self.g, self.scratch = (
             np.zeros(size, dtype=dtype) for _ in range(5))
         self.gather(params, self.p)
+        self.params, self.grads = self.views(self.p), self.views(self.g)
+        self.step = 0
+        self.log_scale = log_scale
 
     def gather(self, arrays: dict, buf: np.ndarray) -> None:
         np.concatenate([arrays[k].ravel() for k in self.order], out=buf)
@@ -98,25 +110,6 @@ class FlatBuffers:
             out[k] = buf[start:start + n].reshape(self.shapes[k])
             start += n
         return {k: out[k] for k in self.shapes}
-
-
-@dataclass
-class TrainState:
-    params: dict    # views into flat.p
-    m: dict         # views into flat.m
-    v: dict         # views into flat.v
-    grads: dict     # views into flat.g
-    step: int
-    log_scale: float
-    flat: FlatBuffers
-
-    @classmethod
-    def start(cls, params: dict, log_scale: float) -> TrainState:
-        """Step 0: the parameters copied into new flat buffers, zero moments."""
-        flat = FlatBuffers(params)
-        return cls(params=flat.views(flat.p), m=flat.views(flat.m),
-                   v=flat.views(flat.v), grads=flat.views(flat.g), step=0,
-                   log_scale=log_scale, flat=flat)
 
 
 @dataclass(frozen=True)
@@ -183,6 +176,7 @@ def decayable(name: str) -> bool:
             and name not in ("txt.pos_emb", "log_scale"))
 
 
+@functools.cache
 def _build_train_graph(text_cfg, img_cfg, batch, seq_len, dtype) -> Graph:
     g = Graph(dtype=dtype)
     z_txt = build_text_tower(g, text_cfg, batch, seq_len)
@@ -204,15 +198,14 @@ def train(cfg: TrainConfig, corpus: PairedCorpus, text_cfg: TextEncoderConfig,
     Aborts with a step-naming diagnostic if the loss leaves the finite
     domain.
     """
-    if len(corpus) < cfg.batch_size:
-        raise UsageError(f"corpus size {len(corpus)} < batch_size {cfg.batch_size}")
+    cfg.check_corpus_size(len(corpus))
     if text_cfg.context_length != cfg.context_length:
         raise UsageError("text_cfg.context_length must match cfg.context_length")
 
     params = {k: v.astype(cfg.dtype) for k, v in init_params(text_cfg, img_cfg,
                                                              cfg.seed).items()}
     params["log_scale"] = np.asarray(LOG_SCALE_INIT, dtype=cfg.dtype)
-    state = TrainState.start(params, LOG_SCALE_INIT)
+    state = TrainState(params, LOG_SCALE_INIT)
 
     seqs = [encode(vocab, r.caption, cfg.context_length) for r in corpus.records]
     ids_all, visible_all = batch_arrays(seqs, pad_id=vocab.pad_id,
@@ -222,7 +215,6 @@ def train(cfg: TrainConfig, corpus: PairedCorpus, text_cfg: TextEncoderConfig,
     steps_per_epoch = len(corpus) // cfg.batch_size
     total_steps = cfg.max_epochs * steps_per_epoch
     rng = np.random.default_rng(cfg.seed)
-    graphs: dict[int, Graph] = {}
     curve: list[LossPoint] = []
     t0 = time.perf_counter()
 
@@ -232,22 +224,15 @@ def train(cfg: TrainConfig, corpus: PairedCorpus, text_cfg: TextEncoderConfig,
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             visible = visible_all[idx]
             seq_len = _round_up(int(visible.max()), 8, cfg.context_length)
-            graph = graphs.get(seq_len)
-            if graph is None:
-                graph = _build_train_graph(text_cfg, img_cfg, cfg.batch_size,
-                                           seq_len, cfg.dtype)
-                graphs[seq_len] = graph
-            bindings = dict(state.params)
-            bindings["ids"] = ids_all[idx][:, :seq_len]
-            bindings["mask"] = attention_mask(visible, seq_len)
-            bindings["eos_idx"] = visible - 1
-            bindings["img"] = images_all[idx]
+            graph = _build_train_graph(text_cfg, img_cfg, cfg.batch_size, seq_len, cfg.dtype)
+            bindings = {**state.params, **text_inputs(ids_all[idx][:, :seq_len], visible),
+                        "img": images_all[idx]}
             try:
                 tape = forward(graph, bindings)
             except NumericError as exc:
                 raise NumericError(f"training diverged at step {state.step}: {exc}") from exc
             loss = float(tape.outputs["loss"])
-            state.flat.gather(backward(tape, output="loss"), state.flat.g)
+            state.gather(backward(tape, output="loss"), state.g)
             clip_gradients(state.grads, cfg.grad_clip_norm)
             lr = lr_schedule(state.step, cfg, total_steps)
             _adamw_update(state, lr, cfg)
@@ -267,26 +252,26 @@ def _round_up(n: int, multiple: int, cap: int) -> int:
 
 
 def _adamw_update(state: TrainState, lr: float, cfg: TrainConfig) -> None:
-    """Decoupled-weight-decay Adam over the flat buffers, in place, with the
-    gradient in ``flat.g``; the update then uses that buffer as scratch."""
-    f = state.flat
+    """Decoupled-weight-decay Adam over the state's buffers, in place, with
+    the gradient in ``state.g``; the update then uses that buffer as scratch."""
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    f.m *= ADAM_BETA1
-    f.m += np.multiply(f.g, 1.0 - ADAM_BETA1, out=f.scratch)
-    f.v *= ADAM_BETA2
-    f.v += np.multiply(np.square(f.g, out=f.scratch), 1.0 - ADAM_BETA2, out=f.scratch)
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(state.g, 1.0 - ADAM_BETA1, out=state.scratch)
+    state.v *= ADAM_BETA2
+    state.v += np.multiply(np.square(state.g, out=state.scratch), 1.0 - ADAM_BETA2,
+                           out=state.scratch)
     # update = (m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p, built in
     # the gradient buffer, which the moments no longer need
-    denom = np.sqrt(np.divide(f.v, bc2, out=f.scratch), out=f.scratch)
+    denom = np.sqrt(np.divide(state.v, bc2, out=state.scratch), out=state.scratch)
     denom += ADAM_EPS
-    update = np.divide(f.m, bc1, out=f.g)
+    update = np.divide(state.m, bc1, out=state.g)
     update /= denom
-    d = f.n_decay
-    update[:d] += np.multiply(f.p[:d], cfg.weight_decay, out=f.scratch[:d])
+    d = state.n_decay
+    update[:d] += np.multiply(state.p[:d], cfg.weight_decay, out=state.scratch[:d])
     update *= lr
-    f.p -= update
+    state.p -= update
 
 
 # -- loss-curve files ---------------------------------------------------------------

@@ -47,13 +47,18 @@ def _add_member(tar, name: str, payload: bytes) -> None:
     tar.addfile(info, io.BytesIO(payload))
 
 
+def profile(command: str, **overrides) -> dict:
+    """The defaults of ``command``'s options, with ``overrides`` applied."""
+    return {**{key: default for key, (_, default, _) in cli.SCHEMAS[command].items()},
+            **overrides}
+
+
 def train_with_bpe(cfg, corpus, vocab_size: int = 300):
     """``trainer.train`` on a BPE vocabulary of the corpus captions, with the
     encoders of ``longctx train``'s defaults."""
     vocab = train_bpe(corpus.captions(), vocab_size)
-    defaults = {key: default for key, (_, default, _) in cli.SCHEMAS["train"].items()}
-    text_cfg, img_cfg = cli._encoder_configs(defaults, cfg.context_length, vocab.size,
-                                             corpus.image_dim)
+    text_cfg, img_cfg = cli._encoder_configs(profile("train"), cfg.context_length,
+                                             vocab.size, corpus.image_dim)
     return train(cfg, corpus, text_cfg, img_cfg, vocab)
 
 
@@ -234,9 +239,9 @@ def reference_adamw_update(state, lr, cfg) -> None:
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    moments = state.views(state.m), state.views(state.v)
     for k, g in state.grads.items():
-        m = state.m[k]
-        v = state.v[k]
+        m, v = (views[k] for views in moments)
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2

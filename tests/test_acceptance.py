@@ -13,16 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import evaluate, fixture_caption_records, run_ablation, unit_rows
-from longctx.cli import SCHEMAS
+from helpers import evaluate, fixture_caption_records, profile, run_ablation, unit_rows
 from longctx.cli import run as cli_run
 from longctx.data import SyntheticSpec, generate_synthetic, save_corpus
 from longctx.encoders import (
     ImageEncoderConfig,
     TextEncoderConfig,
     TrainedModel,
-    attention_mask,
     init_params,
+    text_inputs,
 )
 from longctx.evaluation import ZeroShotTask, permute_options, recall_pair, retrieve, zero_shot_classify
 from longctx.longcap import MockBackend, run_pipeline, write_output_corpus
@@ -82,12 +81,9 @@ def test_criterion_1_gradient_fidelity():
         graph = _build_train_graph(text_cfg, img_cfg, batch, seq_len, "float64")
         params = init_params(text_cfg, img_cfg, seed=int(rng.integers(1 << 30)))
         visible = rng.integers(2, seq_len + 1, size=batch)
-        bindings = dict(params)
-        bindings["log_scale"] = np.asarray(rng.uniform(0.0, 2.0))
-        bindings["ids"] = rng.integers(0, 40, size=(batch, seq_len))
-        bindings["mask"] = attention_mask(visible, seq_len)
-        bindings["eos_idx"] = visible - 1
-        bindings["img"] = rng.normal(size=(batch, img_cfg.input_dim))
+        bindings = dict(params, log_scale=np.asarray(rng.uniform(0.0, 2.0)),
+                        **text_inputs(rng.integers(0, 40, size=(batch, seq_len)), visible),
+                        img=rng.normal(size=(batch, img_cfg.input_dim)))
         tape = forward(graph, bindings)
         grads = backward(tape, output="loss")
         # 1e-4 relative, with an absolute guard of 1e-9 for components whose
@@ -184,8 +180,7 @@ def test_criterion_3_token_waste_exactness():
 ABLATION_CONTEXTS = (77, 154, 512)
 ABLATION_SEEDS = (1, 2, 3)
 # the desk profile of `longctx ablate`, trained for 19 epochs
-ABLATION_PROFILE = {key: default for key, (_, default, _) in SCHEMAS["ablate"].items()}
-ABLATION_PROFILE["max_epochs"] = 19
+ABLATION_PROFILE = profile("ablate", max_epochs=19)
 
 
 @pytest.fixture(scope="module")

@@ -26,6 +26,7 @@ from helpers import (
     blas_thread_vars_seen,
     context_and_start_time,
     fixture_caption_records,
+    profile,
     run_ablation,
     save_shards,
     write_zero_shot_records,
@@ -305,9 +306,9 @@ def test_ablate_writes_timings_in_contexts_order(tmp_path, small_corpus_file):
 
 
 def test_ablation_pool_equals_an_in_process_loop(small_corpus_file):
-    cfg = {key: default for key, (_, default, _) in cli.SCHEMAS["ablate"].items()}
-    cfg.update(batch_size=10, max_epochs=2, vocab_size=300, embed_dim=16, num_layers=1,
-               num_heads=2, output_dim=8, hidden_dim=16, seed=5, dtype="float32")
+    cfg = profile("ablate", batch_size=10, max_epochs=2, vocab_size=300, embed_dim=16,
+                  num_layers=1, num_heads=2, output_dim=8, hidden_dim=16, seed=5,
+                  dtype="float32")
     corpus = load_corpus(small_corpus_file)
     vocab = train_bpe(corpus.captions(), cfg["vocab_size"])
     contexts, ks = [16, 8, 12], (1, 5)
@@ -820,6 +821,9 @@ BAD_ARGUMENTS = [
     ("eval-retrieval", [*MODEL, "--corpus", "{empty}"], "{empty}"),
     ("eval-zeroshot", [*MODEL, "--corpus", "{corpus}", "--task", "{empty}"], "{empty}"),
     ("tokenize-stats", ["--corpus", "{corpus}", "--cutoff", "-5"], "cutoff"),
+    # --captions was ignored when --corpus was given too
+    ("tokenize-stats", ["--corpus", "{corpus}", "--captions", "{captions}"],
+     "exactly one of --corpus and --captions"),
     ("longcap", ["--records", "{records}", "--workers", "-3"], "workers"),
     # a NaN rate would surface as a zero-norm embedding; 0 epochs saved an untrained model
     ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--learning-rate", "nan"], "learning_rate"),
@@ -834,6 +838,15 @@ BAD_ARGUMENTS = [
     ("make-synthetic", ["--noise-std", "nan"], "noise_std"),
     ("make-synthetic", ["--noise-std", "-1"], "noise_std"),
     ("make-synthetic", ["--image-dim", "0"], "image_dim"),
+    # a repeated context trained twice and wrote two row sets under one key
+    ("ablate", ["--corpus", "{corpus}", *TINY_TRAIN[2:], "--contexts", "16,8,16"], "distinct"),
+    ("ablate", ["--corpus", "{corpus}", *TINY_TRAIN[2:], "--contexts", "16", "--ks", "1,1"],
+     "distinct"),
+    # the 20-pair corpus holds no batch of 32: refused after config.txt (and BPE) was written
+    ("train", ["--corpus", "{corpus}", *TINY_TRAIN, "--batch-size", "32"],
+     "corpus size 20 < batch_size 32"),
+    ("ablate", ["--corpus", "{corpus}", *TINY_TRAIN[2:], "--contexts", "16",
+                "--batch-size", "32"], "corpus size 20 < batch_size 32"),
 ]
 
 

@@ -14,12 +14,11 @@ from longctx.encoders import (
     attention_mask,
     batch_arrays,
     checkpoint_vocab_fingerprint,
-    image_encode,
     init_params,
     load_checkpoint,
     param_shapes,
     save_checkpoint,
-    text_encode,
+    text_inputs,
 )
 from longctx.errors import DataError, UsageError
 from longctx.numerics import Graph, backward, forward
@@ -39,6 +38,11 @@ def vocab():
 @pytest.fixture(scope="module")
 def params():
     return init_params(TEXT_CFG, IMG_CFG, seed=11)
+
+
+@pytest.fixture(scope="module")
+def model(vocab, params):
+    return TrainedModel(TEXT_CFG, IMG_CFG, params, vocab, log_scale=0.0)
 
 
 def test_init_deterministic():
@@ -88,17 +92,14 @@ def test_weight_scale_statistics():
     assert abs(w.std() / 0.02 - 1.0) < 0.2
 
 
-def test_text_encode_unit_norm_and_purity(vocab, params):
-    seqs = [encode(vocab, "the cat sat", TEXT_CFG.context_length),
-            encode(vocab, "a dog ran", TEXT_CFG.context_length),
-            encode(vocab, "the cat sat", TEXT_CFG.context_length)]
-    z = text_encode(params, TEXT_CFG, seqs)
+def test_text_encode_unit_norm_and_purity(model):
+    z = model.encode_texts(["the cat sat", "a dog ran", "the cat sat"])
     norms = np.linalg.norm(z, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
     np.testing.assert_array_equal(z[0], z[2])
 
 
-def test_extra_padding_does_not_change_embedding(vocab, params):
+def test_extra_padding_does_not_change_embedding(vocab, model):
     short = encode(vocab, "the cat", TEXT_CFG.context_length)
     longer = encode(vocab, "the cat sat on the mat", TEXT_CFG.context_length)
     # batch_arrays writes the PAD: the short row is filled to the longer width
@@ -110,29 +111,33 @@ def test_extra_padding_does_not_change_embedding(vocab, params):
     assert wide[0].tolist() == [*short, *[vocab.pad_id] * (TEXT_CFG.context_length - len(short))]
     with pytest.raises(UsageError, match="trim"):
         batch_arrays([longer], pad_id=vocab.pad_id, trim_to=len(longer) - 1)
-    alone = text_encode(params, TEXT_CFG, [short])
-    padded = text_encode(params, TEXT_CFG, [short, longer])
+    alone = model.encode_texts(["the cat"])
+    padded = model.encode_texts(["the cat", "the cat sat on the mat"])
     np.testing.assert_allclose(alone[0], padded[0], atol=1e-6)
 
 
-def test_text_encode_rejects_overlong(vocab, params):
-    seq = encode(vocab, "word " * 40, 64)
-    with pytest.raises(UsageError, match="context"):
-        text_encode(params, TEXT_CFG, [seq])
+def test_words_past_the_window_do_not_change_the_embedding(vocab, model):
+    # the text tower sees BOS, the first context_length - 2 content ids and EOS
+    long = "the cat sat on the mat " * 10
+    assert len(encode(vocab, long, 1000)) > TEXT_CFG.context_length
+    z, z_more, z_moved = (model.encode_texts([text]) for text in
+                          (long, long + "a dog ran far away", "a dog " + long))
+    np.testing.assert_array_equal(bits(z), bits(z_more))
+    assert not np.allclose(z, z_moved)
 
 
-def test_image_encode_unit_norm_and_purity(params):
+def test_image_encode_unit_norm_and_purity(model):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, IMG_CFG.input_dim))
     x[3] = x[0]
-    z = image_encode(params, IMG_CFG, x)
+    z = model.encode_images(x)
     np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-6)
     np.testing.assert_array_equal(z[0], z[3])
 
 
-def test_image_encode_rejects_wrong_dim(params):
+def test_image_encode_rejects_wrong_dim(model):
     with pytest.raises(UsageError, match="dim"):
-        image_encode(params, IMG_CFG, np.zeros((2, IMG_CFG.input_dim + 1)))
+        model.encode_images(np.zeros((2, IMG_CFG.input_dim + 1)))
 
 
 def full_position_text_tower(g, cfg, batch, seq_len):
@@ -179,8 +184,7 @@ def test_text_tower_matches_full_position_reference(num_layers):
               for k, v in init_params(cfg, IMG_CFG, seed=4).items()
               if k.startswith("txt.")}
     visible = rng.integers(2, seq_len + 1, size=batch)
-    bindings = dict(params, ids=rng.integers(0, 40, size=(batch, seq_len)),
-                    mask=attention_mask(visible, seq_len), eos_idx=visible - 1)
+    bindings = dict(params, **text_inputs(rng.integers(0, 40, size=(batch, seq_len)), visible))
     seed = rng.normal(size=(batch, cfg.output_dim))
     results = []
     for build in (build_text_tower, full_position_text_tower):
@@ -205,8 +209,7 @@ def _tower_case(num_layers):
               for k, v in init_params(cfg, IMG_CFG, seed=4).items()
               if k.startswith("txt.")}
     visible = rng.integers(2, seq_len + 1, size=batch)
-    bindings = dict(params, ids=rng.integers(0, 40, size=(batch, seq_len)),
-                    mask=attention_mask(visible, seq_len), eos_idx=visible - 1)
+    bindings = dict(params, **text_inputs(rng.integers(0, 40, size=(batch, seq_len)), visible))
     return cfg, batch, seq_len, bindings, rng.normal(size=(batch, cfg.output_dim))
 
 
@@ -355,30 +358,28 @@ def test_checkpoint_records_vocab_fingerprint(tmp_path, vocab, params):
         checkpoint_vocab_fingerprint(path)
 
 
-def test_trained_model_encodes_both_modalities(vocab, params):
-    model = TrainedModel(TEXT_CFG, IMG_CFG, params, vocab, log_scale=0.0)
+def test_trained_model_encodes_both_modalities(model):
     zt = model.encode_texts(["the cat", "a dog ran far"])
     zi = model.encode_images(np.random.default_rng(2).normal(size=(3, IMG_CFG.input_dim)))
     assert zt.shape == (2, 8) and zi.shape == (3, 8)
     np.testing.assert_allclose(np.linalg.norm(zt, axis=1), 1.0, atol=1e-6)
 
 
-def test_trained_model_tokenizes_one_batch_at_a_time(vocab, params, monkeypatch):
+def test_trained_model_tokenizes_one_batch_at_a_time(model, monkeypatch):
     tokenized, waiting = [], []
 
     def counted_encode(*args):
         tokenized.append(args[1])
         return encode(*args)
 
-    def recorded_text_encode(params, cfg, seqs, **kwargs):
+    def recorded_forward(graph, bindings):
         waiting.append(len(tokenized))  # every tokenized text not yet encoded
         tokenized.clear()
-        return text_encode(params, cfg, seqs, **kwargs)
+        return forward(graph, bindings)
 
     monkeypatch.setattr(encoders, "encode", counted_encode)
-    monkeypatch.setattr(encoders, "text_encode", recorded_text_encode)
+    monkeypatch.setattr(encoders, "forward", recorded_forward)
     texts = [f"the cat sat {i}" for i in range(2 * ENCODE_TEXT_BATCH + 5)]
-    model = TrainedModel(TEXT_CFG, IMG_CFG, params, vocab, log_scale=0.0)
     assert model.encode_texts(texts).shape == (len(texts), TEXT_CFG.output_dim)
     assert waiting == [ENCODE_TEXT_BATCH, ENCODE_TEXT_BATCH, 5]
 

@@ -75,6 +75,14 @@ def test_graph_builders_register_exactly_the_ops_with_a_rule():
     assert ops - {"input"} == set(RULES)
 
 
+def test_only_encoders_names_the_text_tower_inputs():
+    # the PAD mask and the EOS index are built once, by encoders.text_inputs, so
+    # training and retrieval give the text tower the same window
+    naming = {p.name for p in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+              if isinstance(node, ast.Constant) and node.value in ("mask", "eos_idx")}
+    assert naming == {"encoders.py"}
+
+
 def test_unused_import_detector():
     source = ("from __future__ import annotations\nimport os\nimport xml.etree as ET\n"
               "from a import b, c as d\nET.parse(b)\n")
